@@ -31,7 +31,10 @@ import (
 // handler before operating on it.
 type Engine interface {
 	rt.Handler
-	// Update writes payload into this node's own segment.
+	// Update writes payload into this node's own segment. The engine
+	// keeps payload without copying it, and self-deliveries and in-process
+	// transports hand the same slice to handlers, so the caller must not
+	// mutate it after the call.
 	Update(payload []byte) error
 	// Scan returns an atomic snapshot of all n segments (nil = never
 	// written). For Sequential engines the snapshot is sequentially

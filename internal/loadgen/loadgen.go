@@ -14,7 +14,10 @@
 //     (Rate ops/sec across all sessions) regardless of completions, the
 //     discipline that exposes queueing collapse. A session that falls
 //     behind its schedule issues immediately (burst catch-up) rather
-//     than silently shedding load.
+//     than silently shedding load, and every op is timed from its due
+//     time, so the wait a stall imposes on later ops is counted. Each
+//     session draws its ops from its own seeded rng before issuing
+//     them, so the op sequence depends on Seed alone.
 //
 // Key-space skew: each operation draws a key from a Zipf distribution
 // over Keys keys (ZipfS > 1 skews toward hot keys; 0 means uniform) and
@@ -80,6 +83,10 @@ type Config struct {
 	// FlushDelay overrides the transport's outbound coalescing window
 	// (0 = transport default; negative disables). Ignored under Legacy.
 	FlushDelay time.Duration
+
+	// issued, if set, is called from a session's goroutine with each op
+	// it issues, in issue order (tests compare op sequences across runs).
+	issued func(client, node int, scan bool)
 }
 
 func (c *Config) fill() {
@@ -260,16 +267,23 @@ func Run(cfg Config) (Result, error) {
 	var memOnce sync.Once
 	payload := make([]byte, cfg.Payload)
 
-	oneOp := func(rng *rand.Rand, zipf *rand.Zipf, recording bool) {
+	// pick draws one op's target node and kind from a session's rng.
+	pick := func(c int, rng *rand.Rand, zipf *rand.Zipf) (node int, scan bool) {
 		var key uint64
 		if zipf != nil {
 			key = zipf.Uint64()
 		} else {
 			key = uint64(rng.Intn(cfg.Keys))
 		}
-		node := int(key % uint64(cfg.N))
-		scan := rng.Intn(100) < cfg.ScanPct
-		t0 := time.Now()
+		node = int(key % uint64(cfg.N))
+		scan = rng.Intn(100) < cfg.ScanPct
+		if cfg.issued != nil {
+			cfg.issued(c, node, scan)
+		}
+		return node, scan
+	}
+	// oneOp runs one op; a recorded op's latency counts from t0.
+	oneOp := func(node int, scan bool, t0 time.Time, recording bool) {
 		var err error
 		if scan {
 			_, err = services[node].Scan()
@@ -313,39 +327,29 @@ func Run(cfg Config) (Result, error) {
 					if !now.Before(warmEnd) {
 						memOnce.Do(func() { runtime.ReadMemStats(&m0) })
 					}
-					oneOp(rng, zipf, !now.Before(warmEnd))
+					node, scan := pick(c, rng, zipf)
+					oneOp(node, scan, time.Now(), !now.Before(warmEnd))
 				}
 			}
-			// Open loop: fixed per-session schedule, ops issued
-			// asynchronously so a slow completion never delays the next
-			// arrival. Each op gets its own rng (and Zipf) because the
-			// session's cannot be shared across concurrent ops.
+			// Open loop: fixed per-session schedule of due times up to the
+			// deadline. The session draws each op before issuing it
+			// asynchronously, so a slow completion never delays the next
+			// arrival; ops are recorded and timed by their due time.
 			interval := time.Duration(float64(cfg.Clients) / cfg.Rate * float64(time.Second))
-			next := start.Add(time.Duration(c) * interval / time.Duration(cfg.Clients))
-			for {
-				now := time.Now()
-				if now.After(deadline) {
-					return
-				}
-				if wait := next.Sub(now); wait > 0 {
+			first := start.Add(time.Duration(c) * interval / time.Duration(cfg.Clients))
+			for due := first; !due.After(deadline); due = due.Add(interval) {
+				if wait := time.Until(due); wait > 0 {
 					time.Sleep(wait)
-					now = time.Now()
 				}
-				tick := next
-				next = next.Add(interval)
-				if !now.Before(warmEnd) {
+				recording := !due.Before(warmEnd)
+				if recording {
 					memOnce.Do(func() { runtime.ReadMemStats(&m0) })
 				}
-				recording := !now.Before(warmEnd)
+				node, scan := pick(c, rng, zipf)
 				inflight.Add(1)
 				go func() {
 					defer inflight.Done()
-					r := rng2(cfg.Seed, c, tick)
-					var z *rand.Zipf
-					if cfg.ZipfS > 1 {
-						z = rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Keys-1))
-					}
-					oneOp(r, z, recording)
+					oneOp(node, scan, due, recording)
 				}()
 			}
 		}()
@@ -389,10 +393,4 @@ func Run(cfg Config) (Result, error) {
 		res.SvcWindowShr += st.WindowShrinks
 	}
 	return res, nil
-}
-
-// rng2 derives a per-op rng for open-loop goroutines (the session's rng
-// cannot be shared across concurrent ops).
-func rng2(seed int64, client int, next time.Time) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ int64(client)<<32 ^ next.UnixNano()))
 }

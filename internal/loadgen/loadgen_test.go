@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -70,5 +72,42 @@ func TestOpenLoopLegacySmoke(t *testing.T) {
 func TestUnknownEngine(t *testing.T) {
 	if _, err := Run(Config{Engine: "no-such-engine"}); err == nil {
 		t.Fatal("want error for unknown engine")
+	}
+}
+
+// TestOpenLoopReproducible: two open-loop runs with the same seed issue
+// the same op sequence from every session, whatever the scheduling: each
+// op is drawn from the session's seeded rng, and the schedule of due
+// times ends at the deadline rather than at the wall-clock moment the
+// session notices it.
+func TestOpenLoopReproducible(t *testing.T) {
+	const clients = 4
+	run := func() [][]string {
+		seqs := make([][]string, clients) // seqs[c] is written by session c only
+		cfg := Config{
+			Engine: "acr", N: 3, F: 1, Clients: clients,
+			Duration: 200 * time.Millisecond, Warmup: 50 * time.Millisecond,
+			Rate: 2000, ZipfS: 1.2, ScanPct: 30, Seed: 11,
+		}
+		cfg.issued = func(c, node int, scan bool) {
+			seqs[c] = append(seqs[c], fmt.Sprintf("%d/%v", node, scan))
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errors != 0 {
+			t.Fatalf("%d operation errors", res.Errors)
+		}
+		return seqs
+	}
+	a, b := run(), run()
+	for c := range a {
+		if len(a[c]) == 0 {
+			t.Fatalf("session %d issued no ops", c)
+		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different op sequences:\n%v\n%v", a, b)
 	}
 }

@@ -263,7 +263,10 @@ func (s *Service) Close() {
 }
 
 // Update writes payload to this node's segment through the service,
-// blocking until the batch containing it commits (or fails).
+// blocking until the batch containing it commits (or fails). The service
+// and the engine keep payload without copying it (self-deliveries and
+// in-process transports hand the same slice to handlers), so the caller
+// must not mutate it after the call.
 func (s *Service) Update(payload []byte) error {
 	tk, err := s.UpdateAsync(payload)
 	if err != nil {
@@ -304,7 +307,8 @@ func (t *Ticket) Snap() [][]byte { return t.req.snap }
 // commit; the ticket's Wait reports the outcome. This splits admission
 // (which fixes the operation's position in the serving order) from
 // completion, letting a client pipeline requests or overlap its own work
-// with the batch's protocol rounds.
+// with the batch's protocol rounds. As with Update, payload belongs to
+// the service from the call on: the caller must not mutate it.
 func (s *Service) UpdateAsync(payload []byte) (*Ticket, error) {
 	req := &request{kind: opUpdate, payload: payload}
 	if s.opts.DirectWait {

@@ -13,18 +13,21 @@ import (
 	"mpsnap/internal/wire"
 )
 
-// startRawMesh brings up an n-node TCP mesh with the given handlers
-// installed (no protocol on top — the tests drive the transport
-// directly). Reuses benchMsg from bench_test.go as the payload.
-func startRawMesh(t *testing.T, handlers []rt.Handler, legacy bool) []*transport.TCPNode {
-	t.Helper()
-	n := len(handlers)
+// dialMesh brings up an n-node loopback TCP mesh: every listener binds
+// 127.0.0.1:0 first so all addresses are known before any node dials,
+// then the nodes start concurrently (NewTCPNode returns only once it has
+// reached every peer). conf, if set, adjusts node i's config. The caller
+// closes the nodes.
+func dialMesh(n int, conf func(i int, cfg *transport.TCPConfig)) ([]*transport.TCPNode, error) {
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			for _, l := range listeners[:i] {
+				l.Close()
+			}
+			return nil, err
 		}
 		listeners[i] = ln
 		addrs[i] = ln.Addr().String()
@@ -33,27 +36,52 @@ func startRawMesh(t *testing.T, handlers []rt.Handler, legacy bool) []*transport
 	errs := make([]error, n)
 	var setup sync.WaitGroup
 	for i := 0; i < n; i++ {
-		i := i
+		cfg := transport.TCPConfig{ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond, Listener: listeners[i]}
+		if conf != nil {
+			conf(i, &cfg)
+		}
 		setup.Add(1)
-		go func() {
+		go func(i int) {
 			defer setup.Done()
-			nodes[i], errs[i] = transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond,
-				Listener: listeners[i], Legacy: legacy,
-			})
-		}()
+			nodes[i], errs[i] = transport.NewTCPNode(cfg)
+		}(i)
 	}
 	setup.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("node %d setup: %v", i, err)
+			for _, tn := range nodes {
+				if tn != nil {
+					tn.Close()
+				}
+			}
+			return nil, fmt.Errorf("node %d setup: %w", i, err)
 		}
+	}
+	return nodes, nil
+}
+
+// newTestMesh is dialMesh for one test: setup errors fail the test, and
+// the nodes close when it ends.
+func newTestMesh(t *testing.T, n int, conf func(i int, cfg *transport.TCPConfig)) []*transport.TCPNode {
+	t.Helper()
+	nodes, err := dialMesh(n, conf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, tn := range nodes {
 			tn.Close()
 		}
 	})
+	return nodes
+}
+
+// startRawMesh brings up an n-node TCP mesh with the given handlers
+// installed (no protocol on top — the tests drive the transport
+// directly). Reuses benchMsg from bench_test.go as the payload.
+func startRawMesh(t *testing.T, handlers []rt.Handler, legacy bool) []*transport.TCPNode {
+	t.Helper()
+	nodes := newTestMesh(t, len(handlers), func(_ int, cfg *transport.TCPConfig) { cfg.Legacy = legacy })
 	for i, h := range handlers {
 		nodes[i].SetHandler(h)
 	}
@@ -238,41 +266,7 @@ func TestTCPSendBatchCapStalledReader(t *testing.T) {
 // path show up as a timeout rather than a flake.
 func TestTCPFlushTimerSolitaryFrame(t *testing.T) {
 	sink := &fifoHandler{}
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, 2)
-	errs := make([]error, 2)
-	var setup sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			nodes[i], errs[i] = transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond,
-				Listener: listeners[i], FlushDelay: 50 * time.Millisecond,
-			})
-		}()
-	}
-	setup.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d setup: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, tn := range nodes {
-			tn.Close()
-		}
-	}()
+	nodes := newTestMesh(t, 2, func(_ int, cfg *transport.TCPConfig) { cfg.FlushDelay = 50 * time.Millisecond })
 	nodes[0].SetHandler(sink)
 	nodes[1].SetHandler(&fifoHandler{})
 

@@ -71,7 +71,8 @@ type TCPConfig struct {
 	// skew; for nodes in one process, pass the same time.Time to all.
 	Epoch time.Time
 	// Legacy selects the pre-optimization hot path (serial inline
-	// dispatch, per-frame socket writes, no flush coalescing). Kept so
+	// dispatch, per-frame socket writes, no flush coalescing, self-sends
+	// through a loopback connection to the node's own listener). Kept so
 	// wall-clock bake-offs can measure the optimized path against the
 	// original one inside the same binary.
 	Legacy bool
@@ -92,15 +93,19 @@ type TCPConfig struct {
 
 // TCPNode is a node of a TCP-connected deployment. TCP's in-order
 // delivery provides the FIFO channel property; reliability holds as long
-// as connections stay up. When a peer's connection dies, the send loop
-// redials with backoff and resumes on the fresh connection: frames the
-// send loop had batched but not yet written to a socket are resent in
-// order, so a transient reset between two live processes does not open a
-// FIFO gap; frames already written to the dead socket are the in-flight
-// loss of the crash model — the crashed-receiver semantics crash-recovery
-// deployments (`asonode -wal`) repair on rejoin — but the mesh heals, so
-// a restarted process receives the replies it is owed. The transport
-// never re-delivers frames it knows a socket accepted.
+// as connections stay up. A node's messages to itself never touch a
+// socket: they enter an in-process FIFO queue drained by the same kind of
+// per-source dispatcher as remote traffic (under Legacy the node still
+// dials its own listener, as the seed did). When a peer's connection
+// dies, the send loop redials with backoff and resumes on the fresh
+// connection: frames the send loop had batched but not yet written to a
+// socket are resent in order, so a transient reset between two live
+// processes does not open a FIFO gap; frames already written to the dead
+// socket are the in-flight loss of the crash model — the crashed-receiver
+// semantics crash-recovery deployments (`asonode -wal`) repair on rejoin
+// — but the mesh heals, so a restarted process receives the replies it
+// is owed. The transport never re-delivers frames it knows a socket
+// accepted.
 type TCPNode struct {
 	node
 	cfg TCPConfig
@@ -108,7 +113,10 @@ type TCPNode struct {
 	listener net.Listener
 	start    time.Time
 
-	outs []chan rt.Message // per-peer outbound queues
+	// outs[peer] is peer's outbound queue. On the tuned path outs[ID] is
+	// the self-delivery queue, which disp[ID] drains straight into the
+	// handler; every other queue feeds a sendLoop.
+	outs []chan rt.Message
 
 	// stale[peer] is set when peer's inbound stream ends: the process
 	// behind it is gone, so our outbound connection is doomed even though
@@ -136,9 +144,11 @@ type TCPNode struct {
 	closed chan struct{}
 }
 
-// NewTCPNode starts listening, connects to all peers, and returns once
-// the full mesh is up. Peers must be started within DialTimeout of each
-// other.
+// NewTCPNode starts listening, connects to every other node, and returns
+// once all its outbound connections are up (a peer's connection to this
+// node may still be arriving). Peers must be started within DialTimeout
+// of each other. An n-node tuned mesh has n(n-1) connections; a Legacy
+// one has n*n, its self-connections included.
 func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	if cfg.D == 0 {
 		cfg.D = 10 * time.Millisecond
@@ -173,6 +183,17 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		}
 	}
 	t.listener = ln
+	if !cfg.Legacy {
+		// Self-delivery: queued like any outbound frame, handed to the
+		// handler like any inbound one, with no encode, socket or decode
+		// in between. Started before the accept loop so disp[ID] is never
+		// written while a receiver may read disp.
+		d := &dispatcher{ch: make(chan rt.Message, outQueue)}
+		t.disp[cfg.ID] = d
+		t.outs[cfg.ID] = d.ch
+		t.wg.Add(1)
+		go t.dispatchLoop(cfg.ID, d)
+	}
 
 	// Accept inbound connections: each peer dials us once and sends a
 	// hello frame; we then read frames from it until the stream ends or
@@ -180,10 +201,13 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	t.wg.Add(1)
 	go t.acceptLoop()
 
-	// Dial every peer (including ourselves, for uniform self-delivery
-	// through the loopback).
+	// Dial every peer. Legacy also dials itself, so its self-sends take
+	// the loopback like any other frame.
 	deadline := time.Now().Add(cfg.DialTimeout)
 	for peer := 0; peer < n; peer++ {
+		if peer == cfg.ID && !cfg.Legacy {
+			continue
+		}
 		conn, err := dialUntil(cfg.Addrs[peer], deadline)
 		if err != nil {
 			t.Close()
@@ -200,7 +224,7 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 			return nil, fmt.Errorf("transport: handshake with node %d: %w", peer, err)
 		}
 		t.conns[peer] = conn
-		out := make(chan rt.Message, 1<<14)
+		out := make(chan rt.Message, outQueue)
 		t.outs[peer] = out
 		t.wg.Add(1)
 		if cfg.Legacy {
@@ -211,6 +235,11 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	}
 	return t, nil
 }
+
+// outQueue bounds each outbound queue, the self-delivery queue included.
+// Sends never block (they run under the node lock), so a full queue is a
+// panic rather than backpressure.
+const outQueue = 1 << 14
 
 // dialUntil dials addr with bounded exponential backoff (50ms doubling to
 // a 2s cap) until the deadline passes. Peers of a cluster may come up in
@@ -246,7 +275,17 @@ func (t *TCPNode) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// Close walks accepted under acceptedMu after closing t.closed, so
+		// a connection accepted while Close runs is either seen by that
+		// walk or closed here; its reader can never outlive the node.
 		t.acceptedMu.Lock()
+		select {
+		case <-t.closed:
+			t.acceptedMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		t.accepted = append(t.accepted, conn)
 		t.acceptedMu.Unlock()
 		t.wg.Add(1)
@@ -295,6 +334,12 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 	h, ok := hm.(Hello)
 	if !ok || h.ID < 0 || h.ID >= len(t.cfg.Addrs) {
 		t.recvError(-1, conn, fmt.Errorf("transport: bad handshake %q from %s", hm.Kind(), conn.RemoteAddr()), true)
+		return
+	}
+	if h.ID == t.cfg.ID && !t.cfg.Legacy {
+		// Self-sends never cross a socket on the tuned path; a stream
+		// claiming our own ID would interleave with the local queue.
+		t.recvError(-1, conn, fmt.Errorf("transport: handshake from %s claims this node's id %d", conn.RemoteAddr(), h.ID), true)
 		return
 	}
 	src := h.ID
@@ -347,7 +392,8 @@ const dispBatch = 256
 
 // dispatcher is one source's inbound FIFO: every connection claiming the
 // same source ID feeds the same queue, so per-peer delivery order is
-// preserved even across a peer's reconnect.
+// preserved even across a peer's reconnect. The node's own dispatcher
+// (disp[ID], tuned path) is fed by Send directly.
 type dispatcher struct {
 	ch chan rt.Message
 }
@@ -370,7 +416,8 @@ func (t *TCPNode) dispatcherFor(src int) *dispatcher {
 // accumulated on the queue (up to dispBatch) and runs the handler over
 // the whole batch in one critical section with a single waiter wakeup,
 // amortizing the node mutex and the condition broadcast over the batch
-// instead of paying both per message.
+// instead of paying both per message. Remote deliveries are observed by
+// recvLoop as they are decoded; self-deliveries here, in send order.
 func (t *TCPNode) dispatchLoop(src int, d *dispatcher) {
 	defer t.wg.Done()
 	batch := make([]rt.Message, 0, dispBatch)
@@ -387,6 +434,11 @@ func (t *TCPNode) dispatchLoop(src int, d *dispatcher) {
 					batch = append(batch, m)
 				default:
 					break drain
+				}
+			}
+			if src == t.cfg.ID && t.cfg.Observer != nil {
+				for _, m := range batch {
+					t.observeMsg(rt.MsgDeliver, src, src, m.Kind(), wire.EncodedSize(m))
 				}
 			}
 			t.deliverBatch(src, batch)
@@ -744,7 +796,9 @@ func (r *tcpRuntime) Send(dst int, msg rt.Message) {
 	if out == nil {
 		return
 	}
-	(*TCPNode)(r).observeMsg(rt.MsgSend, r.cfg.ID, dst, msg.Kind(), wire.EncodedSize(msg))
+	if r.cfg.Observer != nil {
+		(*TCPNode)(r).observeMsg(rt.MsgSend, r.cfg.ID, dst, msg.Kind(), wire.EncodedSize(msg))
+	}
 	select {
 	case out <- msg:
 	default:

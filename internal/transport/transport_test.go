@@ -111,6 +111,10 @@ func TestTCPEQASO(t *testing.T) {
 	nodes := make([]*eqaso.Node, n)
 	var setup sync.WaitGroup
 	errs := make([]error, n)
+	// One clock zero for all nodes: the history orders operations across
+	// nodes by their Now() readings, and per-node zeros would turn setup
+	// skew into false real-time order.
+	epoch := time.Now()
 	for i := 0; i < n; i++ {
 		i := i
 		setup.Add(1)
@@ -122,6 +126,7 @@ func TestTCPEQASO(t *testing.T) {
 				F:        f,
 				D:        5 * time.Millisecond,
 				Listener: listeners[i],
+				Epoch:    epoch,
 			})
 			if err != nil {
 				errs[i] = err
