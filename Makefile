@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test test-race test-short test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke fuzz fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check clean
+.PHONY: all build build-examples test test-race test-short test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke fuzz fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
 
 all: vet test
 
@@ -23,6 +23,14 @@ vet:
 # Fails if any file is not gofmt-formatted.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Go line counts, non-test and test, outside perfbench/ and .bench_build/.
+# CI prints them on every run so each change's net LOC is on record; the
+# target reports only and gates nothing.
+LOC_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*' -not -path './.git/*'
+loc:
+	@echo "non-test Go lines: $$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines:     $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 test:
 	$(GO) test ./...

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/history"
 	"mpsnap/internal/mux"
@@ -102,7 +103,7 @@ func NewSimCluster(cfg Config) (*SimCluster, error) {
 	}
 	var buildErr error
 	extras := make([]map[string]Object, cfg.N)
-	c := harness.Build(simCfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(simCfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		if len(cfg.Extra) == 0 {
 			h, obj, err := NewNode(cfg.Algorithm, r)
 			if err != nil {

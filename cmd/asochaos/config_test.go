@@ -71,15 +71,6 @@ func TestParseChaosConfig(t *testing.T) {
 			},
 		},
 		{
-			name: "alg alias still works, engine wins when both set",
-			args: []string{"-alg", "sso", "-engine", "fastsnap"},
-			check: func(t *testing.T, c chaosConfig) {
-				if c.Chaos.Engine != "fastsnap" {
-					t.Errorf("engine: %q, want fastsnap (-engine beats -alg)", c.Chaos.Engine)
-				}
-			},
-		},
-		{
 			name: "shards forward the engine to the cluster config",
 			args: []string{"-shards", "2", "-engine", "fastsnap"},
 			check: func(t *testing.T, c chaosConfig) {

@@ -48,7 +48,7 @@ func main() {
 		if in.Sequential {
 			log.Fatalf("engine %q is sequentially consistent; the explorer's scenario checks linearizability", *alg)
 		}
-		mk = func(w *sim.World, i int) harness.Object {
+		mk = func(w *sim.World, i int) engine.Object {
 			nd := in.New(w.Runtime(i))
 			w.SetHandler(i, nd)
 			return nd
@@ -75,14 +75,14 @@ func main() {
 		*alg, res.Runs, *depth, elapsed.Seconds(), status)
 }
 
-func factories() map[string]func(w *sim.World, i int) harness.Object {
-	return map[string]func(w *sim.World, i int) harness.Object{
-		"oneshot": func(w *sim.World, i int) harness.Object {
+func factories() map[string]func(w *sim.World, i int) engine.Object {
+	return map[string]func(w *sim.World, i int) engine.Object{
+		"oneshot": func(w *sim.World, i int) engine.Object {
 			o := la.NewOneShotAtomic(w.Runtime(i))
 			w.SetHandler(i, o)
 			return o
 		},
-		"oneshot-sketch": func(w *sim.World, i int) harness.Object {
+		"oneshot-sketch": func(w *sim.World, i int) engine.Object {
 			o := la.NewOneShot(w.Runtime(i))
 			w.SetHandler(i, o)
 			return o
@@ -93,11 +93,11 @@ func factories() map[string]func(w *sim.World, i int) harness.Object {
 // scenario is the canonical update-then-scan scenario (see
 // internal/explore's tests for the rationale, including the Sleep that
 // separates the operations in real time).
-func scenario(mk func(w *sim.World, i int) harness.Object) func(s sim.Sequencer) error {
+func scenario(mk func(w *sim.World, i int) engine.Object) func(s sim.Sequencer) error {
 	return func(s sim.Sequencer) error {
 		const n, f = 3, 1
 		w := sim.New(sim.Config{N: n, F: f, Seed: 1, Sequencer: s})
-		objs := make([]harness.Object, n)
+		objs := make([]engine.Object, n)
 		for i := 0; i < n; i++ {
 			objs[i] = mk(w, i)
 		}

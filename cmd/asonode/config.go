@@ -45,14 +45,13 @@ func (c nodeConfig) N() int { return len(c.Addrs) }
 // are written to out; validation errors are returned.
 func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 	var cfg nodeConfig
-	var addrs, alg string
+	var addrs string
 	fs := flag.NewFlagSet("asonode", flag.ContinueOnError)
 	fs.SetOutput(out)
 	fs.IntVar(&cfg.ID, "id", 0, "this node's index into -addrs")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated listen addresses of all nodes")
 	fs.IntVar(&cfg.F, "f", 0, "resilience bound (default: (n-1)/2, or (n-1)/3 for Byzantine engines)")
-	fs.StringVar(&cfg.Engine, "engine", "", "engine: "+engine.FlagHelp()+" (default eqaso)")
-	fs.StringVar(&alg, "alg", "", "deprecated alias for -engine")
+	fs.StringVar(&cfg.Engine, "engine", "eqaso", "engine: "+engine.FlagHelp())
 	fs.DurationVar(&cfg.D, "d", 10*time.Millisecond, "wall-clock duration treated as one D (reporting only)")
 	fs.DurationVar(&cfg.DialTimeout, "dial-timeout", 10*time.Second, "total per-peer connection budget at startup")
 	fs.StringVar(&cfg.Clients, "clients", "", "optional listen address for concurrent TCP client sessions")
@@ -69,13 +68,6 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 	}
 	if len(cfg.Addrs) < 3 {
 		return cfg, fmt.Errorf("need -addrs with at least 3 comma-separated addresses")
-	}
-	// -engine wins over the deprecated -alg alias; both empty means eqaso.
-	if cfg.Engine == "" {
-		cfg.Engine = alg
-	}
-	if cfg.Engine == "" {
-		cfg.Engine = "eqaso"
 	}
 	in, err := engine.Lookup(cfg.Engine)
 	if err != nil {

@@ -35,8 +35,8 @@ func TestParseNodeConfig(t *testing.T) {
 			},
 		},
 		{
-			name: "byzaso default f via alg alias",
-			args: []string{addrs, "-addrs=:1,:2,:3,:4,:5,:6,:7", "-alg", "byzaso"},
+			name: "byzaso default f",
+			args: []string{addrs, "-addrs=:1,:2,:3,:4,:5,:6,:7", "-engine", "byzaso"},
 			check: func(t *testing.T, c nodeConfig) {
 				if c.Engine != "byzaso" || c.F != 2 {
 					t.Errorf("engine=%q f=%d, want byzaso/(7-1)/3=2", c.Engine, c.F)
@@ -53,15 +53,6 @@ func TestParseNodeConfig(t *testing.T) {
 			},
 		},
 		{
-			name: "engine wins over the alg alias",
-			args: []string{addrs, "-engine", "acr", "-alg", "sso"},
-			check: func(t *testing.T, c nodeConfig) {
-				if c.Engine != "acr" {
-					t.Errorf("engine=%q, want acr (-engine beats -alg)", c.Engine)
-				}
-			},
-		},
-		{
 			name: "explicit flags",
 			args: []string{addrs, "-id", "3", "-f", "1", "-http", ":9090", "-trace-cap", "64", "-d", "5ms"},
 			check: func(t *testing.T, c nodeConfig) {
@@ -72,11 +63,11 @@ func TestParseNodeConfig(t *testing.T) {
 		},
 		{name: "no addrs", args: nil, wantErr: "at least 3"},
 		{name: "two addrs", args: []string{"-addrs=:1,:2"}, wantErr: "at least 3"},
-		{name: "bad alg", args: []string{addrs, "-alg", "paxos"}, wantErr: "unknown engine"},
+		{name: "bad alg", args: []string{addrs, "-alg", "eqaso"}, wantErr: "flag provided but not defined: -alg"},
 		{name: "bad engine", args: []string{addrs, "-engine", "raft"}, wantErr: "unknown engine"},
 		{name: "id out of range", args: []string{addrs, "-id", "5"}, wantErr: "out of range"},
 		{name: "f too big", args: []string{addrs, "-f", "2", "-addrs=:1,:2,:3"}, wantErr: "n > 2f"},
-		{name: "byzaso f too big", args: []string{addrs, "-alg", "byzaso", "-f", "2"}, wantErr: "n > 3f"},
+		{name: "byzaso f too big", args: []string{addrs, "-engine", "byzaso", "-f", "2"}, wantErr: "n > 3f"},
 		{name: "wal needs durability", args: []string{addrs, "-engine", "fastsnap", "-wal", "x.wal"}, wantErr: "no WAL support"},
 		{name: "bad trace cap", args: []string{addrs, "-trace-cap", "0"}, wantErr: "-trace-cap"},
 		{name: "bad flag", args: []string{"-nope"}, wantErr: "flag provided but not defined"},

@@ -134,14 +134,13 @@ func main() {
 			o.SetObserver(observer)
 		}
 	}
-	var obj svc.Object = nd
 	tn.SetHandler(nd)
 	if rejoin != nil {
 		rejoin()
 		fmt.Println("wal: rejoined the cluster from the recovered checkpoint")
 	}
 
-	service := svc.New(tn.Runtime(), obj, svc.Options{
+	service := svc.New(tn.Runtime(), nd, svc.Options{
 		Mode:       svc.ModeFor(cfg.Engine),
 		MaxPending: cfg.MaxPending,
 		Observer:   observer,

@@ -13,6 +13,7 @@ import (
 	"mpsnap/internal/baseline/stacked"
 	"mpsnap/internal/baseline/storecollect"
 	"mpsnap/internal/byzaso"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
@@ -23,32 +24,32 @@ type factory struct {
 	name string
 	// minNOver3F requires n > 3f (Byzantine-resilient algorithms).
 	minNOver3F bool
-	mk         func(r rt.Runtime) (rt.Handler, harness.Object)
+	mk         func(r rt.Runtime) (rt.Handler, engine.Object)
 }
 
 func factories() []factory {
 	return []factory{
-		{name: "eqaso", mk: func(r rt.Runtime) (rt.Handler, harness.Object) {
+		{name: "eqaso", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := eqaso.New(r)
 			return nd, nd
 		}},
-		{name: "byzaso", minNOver3F: true, mk: func(r rt.Runtime) (rt.Handler, harness.Object) {
+		{name: "byzaso", minNOver3F: true, mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := byzaso.New(r)
 			return nd, nd
 		}},
-		{name: "delporte", mk: func(r rt.Runtime) (rt.Handler, harness.Object) {
+		{name: "delporte", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := delporte.New(r)
 			return nd, nd
 		}},
-		{name: "storecollect", mk: func(r rt.Runtime) (rt.Handler, harness.Object) {
+		{name: "storecollect", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := storecollect.New(r)
 			return nd, nd
 		}},
-		{name: "stacked", mk: func(r rt.Runtime) (rt.Handler, harness.Object) {
+		{name: "stacked", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := stacked.New(r)
 			return nd, nd
 		}},
-		{name: "laaso", mk: func(r rt.Runtime) (rt.Handler, harness.Object) {
+		{name: "laaso", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := laaso.New(r)
 			return nd, nd
 		}},

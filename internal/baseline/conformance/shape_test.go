@@ -6,6 +6,7 @@ import (
 	"mpsnap/internal/baseline/delporte"
 	"mpsnap/internal/baseline/laaso"
 	"mpsnap/internal/baseline/storecollect"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
@@ -18,7 +19,7 @@ import (
 func TestDelporteUpdateIsOneRound(t *testing.T) {
 	var nd0 *delporte.Node
 	c := harness.Build(sim.Config{N: 9, F: 4, Seed: 1, Delay: sim.Constant{Ticks: rt.TicksPerD}},
-		func(r rt.Runtime) (rt.Handler, harness.Object) {
+		func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := delporte.New(r)
 			if r.ID() == 0 {
 				nd0 = nd
@@ -51,7 +52,7 @@ func TestDelporteScanCollectCountGrowsWithContention(t *testing.T) {
 		n := 11
 		var scanner *delporte.Node
 		c := harness.Build(sim.Config{N: n, F: 5, Seed: 3, Delay: sim.Constant{Ticks: rt.TicksPerD}},
-			func(r rt.Runtime) (rt.Handler, harness.Object) {
+			func(r rt.Runtime) (rt.Handler, engine.Object) {
 				nd := delporte.New(r)
 				if r.ID() == 0 {
 					scanner = nd
@@ -91,7 +92,7 @@ func TestStoreCollectTracksActivity(t *testing.T) {
 	n := 5
 	var nd0 *storecollect.Node
 	c := harness.Build(sim.Config{N: n, F: 2, Seed: 5, Delay: sim.Constant{Ticks: rt.TicksPerD}},
-		func(r rt.Runtime) (rt.Handler, harness.Object) {
+		func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := storecollect.New(r)
 			if r.ID() == 0 {
 				nd0 = nd
@@ -124,7 +125,7 @@ func TestStoreCollectTracksActivity(t *testing.T) {
 // operation pays for every concurrently exposed value, while proactive
 // forwarding keeps EQ-ASO's operations flat — Table I's shape as a test.
 func TestLAASOSlowerThanEQASOUnderContention(t *testing.T) {
-	measure := func(mk func(r rt.Runtime) (rt.Handler, harness.Object)) float64 {
+	measure := func(mk func(r rt.Runtime) (rt.Handler, engine.Object)) float64 {
 		n := 13
 		c := harness.Build(sim.Config{N: n, F: 6, Seed: 7, Delay: sim.Constant{Ticks: rt.TicksPerD}}, mk)
 		for i := 0; i < n; i++ {
@@ -152,11 +153,11 @@ func TestLAASOSlowerThanEQASOUnderContention(t *testing.T) {
 		}
 		return worst
 	}
-	la := measure(func(r rt.Runtime) (rt.Handler, harness.Object) {
+	la := measure(func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := laaso.New(r)
 		return nd, nd
 	})
-	eq := measure(func(r rt.Runtime) (rt.Handler, harness.Object) {
+	eq := measure(func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := eqaso.New(r)
 		return nd, nd
 	})

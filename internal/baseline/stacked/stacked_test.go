@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpsnap/internal/baseline/stacked"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
@@ -11,7 +12,7 @@ import (
 
 func build(cfg sim.Config) (*harness.Cluster, []*stacked.Node) {
 	nodes := make([]*stacked.Node, 0, cfg.N)
-	c := harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(cfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := stacked.New(r)
 		nodes = append(nodes, nd)
 		return nd, nd

@@ -43,7 +43,7 @@ func TableAlgos() []Algo {
 }
 
 // make1 builds one node of the engine via the registry.
-func make1(a Algo, r rt.Runtime) (rt.Handler, harness.Object) {
+func make1(a Algo, r rt.Runtime) (rt.Handler, engine.Object) {
 	e, err := engine.New(string(a), r)
 	if err != nil {
 		panic("bench: " + err.Error())
@@ -136,7 +136,7 @@ func Run(cfg Config) (Result, error) {
 		liveFrom = cfg.Faults.Crashes
 	}
 
-	c := harness.Build(simCfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(simCfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		return make1(cfg.Algo, r)
 	})
 	if cfg.Observer != nil {

@@ -153,7 +153,7 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 		nd, err := cluster.NewNode(w.Runtime(id), cluster.Config{
 			Map:    m,
 			Health: health,
-			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
+			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, engine.Object) {
 				e := engine.MustLookup("eqaso").New(r)
 				return e, e
 			},

@@ -79,7 +79,7 @@ func engineSweep(name string, n, opsPerNode int, seed int64) (EnginePoint, error
 
 	c := harness.Build(sim.Config{
 		N: n, F: f, Seed: seed, Delay: sim.Constant{Ticks: rt.TicksPerD},
-	}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		e := in.New(r)
 		return e, e
 	})

@@ -148,7 +148,7 @@ func SqrtKProbe(a Algo, n, k int, seed int64) (float64, int, error) {
 }
 
 func harnessBuild(cfg sim.Config, a Algo) *harness.Cluster {
-	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		return make1(a, r)
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
@@ -44,7 +45,7 @@ type ThroughputResult struct {
 func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	res := ThroughputResult{ThroughputConfig: cfg}
 	c := harness.Build(sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Delay: sim.Constant{Ticks: rt.TicksPerD}},
-		func(r rt.Runtime) (rt.Handler, harness.Object) {
+		func(r rt.Runtime) (rt.Handler, engine.Object) {
 			return make1(EQASO, r)
 		})
 

@@ -7,6 +7,7 @@ import (
 
 	"mpsnap/internal/byzaso"
 	"mpsnap/internal/core"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rbc"
 	"mpsnap/internal/rt"
@@ -14,7 +15,7 @@ import (
 )
 
 func build(cfg sim.Config) *harness.Cluster {
-	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := byzaso.New(r)
 		return nd, nd
 	})
@@ -121,7 +122,7 @@ func (b *byzBehavior) HandleMessage(src int, m rt.Message) {
 func runWithByz(t *testing.T, mode string, seed int64) {
 	t.Helper()
 	n, f := 7, 2
-	c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := byzaso.New(r)
 		if r.ID() < f {
 			return &byzBehavior{inner: nd, r: r, mode: mode}, nd
@@ -167,7 +168,7 @@ func TestTagRatchetBounded(t *testing.T) {
 	// Byzantine nodes ratchet tags upward; corroboration limits them to
 	// one step per round trip, and honest operations keep completing.
 	n, f := 7, 2
-	c := harness.Build(sim.Config{N: n, F: f, Seed: 11}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: 11}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := byzaso.New(r)
 		return nd, nd
 	})
@@ -260,7 +261,7 @@ func TestLinearizableUnderMixedByzantine(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 7 + int(seed%3)*3
 		f := (n - 1) / 3
-		c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+		c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := byzaso.New(r)
 			if r.ID() < f {
 				mode := "readack-liar"

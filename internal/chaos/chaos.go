@@ -12,12 +12,6 @@ import (
 	"mpsnap/internal/wal"
 )
 
-// object is the client face of every snapshot object under test.
-type object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
-
 // Config parameterizes one chaos run.
 type Config struct {
 	// N nodes with resilience bound F (n > 2f; n > 3f for Byzantine
@@ -176,7 +170,7 @@ func durableNames() string {
 }
 
 // newNode constructs the engine node for one runtime.
-func (cfg *Config) newNode(r rt.Runtime) (rt.Handler, object) {
+func (cfg *Config) newNode(r rt.Runtime) (rt.Handler, engine.Object) {
 	e := cfg.info.New(r)
 	return e, e
 }
@@ -185,7 +179,7 @@ func (cfg *Config) newNode(r rt.Runtime) (rt.Handler, object) {
 // replayed WAL (GC stays enabled — recovery under pruning is the point).
 // normalize already guaranteed the engine is durable, and durable engines
 // rejoin after recovery.
-func (cfg *Config) recoverNode(r rt.Runtime, st *wal.State, w *wal.Writer) (rt.Handler, object, engine.Rejoiner) {
+func (cfg *Config) recoverNode(r rt.Runtime, st *wal.State, w *wal.Writer) (rt.Handler, engine.Object, engine.Rejoiner) {
 	e := cfg.info.Recover(r, st, w, true)
 	return e, e, e.(engine.Rejoiner)
 }

@@ -52,7 +52,7 @@ func TestSeedDeterminism(t *testing.T) {
 // while the cut was up — must linearize.
 func TestScanSpansPartition(t *testing.T) {
 	const healAt = 15 * rt.TicksPerD
-	c := harness.Build(sim.Config{N: 5, F: 2, Seed: 11}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: 5, F: 2, Seed: 11}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := engine.MustLookup("eqaso").New(r)
 		return nd, nd
 	})

@@ -85,7 +85,7 @@ func RunSim(cfg Config) (*Result, error) {
 	corr := newCorrupter(cfg.Seed+4, cfg.info.Byzantine)
 
 	c := harness.Build(sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Adversary: adv, Link: link, Wire: corr},
-		func(r rt.Runtime) (rt.Handler, harness.Object) {
+		func(r rt.Runtime) (rt.Handler, engine.Object) {
 			return cfg.newNode(r)
 		})
 
@@ -176,7 +176,7 @@ func RunSim(cfg Config) (*Result, error) {
 	// strictly before the first unblock sweep — so drained workers exit
 	// cleanly instead of being mistaken for stuck operations and
 	// crash-aborted.
-	fronts := make([]harness.Object, cfg.N)
+	fronts := make([]engine.Object, cfg.N)
 	for i := range fronts {
 		fronts[i] = c.Objects[i]
 	}

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -53,44 +52,15 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 	sched := cfg.schedule()
 	res := &Result{Schedule: sched}
 
-	unders := make([]rt.Runtime, cfg.N)
-	var crashFn func(id int)
-	var setHandler func(id int, h rt.Handler)
-	var restartFn func(id int, h rt.Handler)
-	var closeAll func()
-	switch backend {
-	case "chan":
-		cn := transport.NewChanNet(transport.ChanConfig{N: cfg.N, F: cfg.F, D: DReal, Seed: cfg.Seed})
-		for i := 0; i < cfg.N; i++ {
-			unders[i] = cn.Runtime(i)
-		}
-		crashFn = cn.Crash
-		setHandler = cn.SetHandler
-		restartFn = cn.Restart
-		closeAll = cn.Close
-	case "tcp":
-		nodes, err := dialLoopback(cfg.N, cfg.F)
-		if err != nil {
-			return nil, err
-		}
-		for i, nd := range nodes {
-			unders[i] = nd.Runtime()
-		}
-		crashFn = func(id int) { nodes[id].Crash() }
-		setHandler = func(id int, h rt.Handler) { nodes[id].SetHandler(h) }
-		closeAll = func() {
-			for _, nd := range nodes {
-				nd.Close()
-			}
-		}
-	default:
-		return nil, fmt.Errorf("chaos: unknown backend %q (want chan|tcp)", backend)
+	back, err := OpenBackend(backend, cfg.N, cfg.F, cfg.Seed, nil)
+	if err != nil {
+		return nil, err
 	}
-	defer closeAll()
+	defer back.Close()
 
-	nt := NewNet(cfg.Seed+3, unders, crashFn)
+	nt := NewNet(cfg.Seed+3, back.Runtimes, back.Crash)
 	nt.SetCorrupter(newCorrupter(cfg.Seed+4, cfg.info.Byzantine))
-	objs := make([]object, cfg.N)
+	objs := make([]engine.Object, cfg.N)
 	var walFiles []*wal.MemFile
 	if sched.HasRestarts() {
 		walFiles = make([]*wal.MemFile, cfg.N)
@@ -101,7 +71,7 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 			walFiles[i] = wal.NewMemFile()
 			obj.(engine.Durable).AttachWAL(wal.NewWriter(walFiles[i], chaosWALBatch), true)
 		}
-		setHandler(i, h)
+		back.SetHandler(i, h)
 		objs[i] = obj
 	}
 
@@ -131,7 +101,7 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 	// client is one node's workload loop. cid distinguishes a restarted
 	// incarnation's values ("v<id>.<cid>-<seq>") from pre-crash ones;
 	// rejoin, when set, runs before the first operation.
-	client := func(i, cid int, obj object, rejoin engine.Rejoiner) {
+	client := func(i, cid int, obj engine.Object, rejoin engine.Rejoiner) {
 		defer clientDone()
 		if rejoin != nil {
 			rejoin.Rejoin()
@@ -208,12 +178,12 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 			// Lock-step with the dead incarnation's last critical section
 			// before touching its WAL file (all appends run under the
 			// transport node's mutex; the node is crashed, so no new ones).
-			unders[id].Atomic(func() {})
+			back.Runtimes[id].Atomic(func() {})
 			f := walFiles[id]
 			f.Crash()
 			st := wal.Recover(f.Durable(), cfg.N, id)
 			h, obj, rj := cfg.recoverNode(nt.Runtime(id), st, wal.NewWriter(f, chaosWALBatch))
-			restartFn(id, h)
+			back.Restart(id, h)
 			nt.ClearCrashed(id)
 			incarnation[id]++
 			go client(id, incarnation[id], obj, rj)
@@ -251,46 +221,51 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 	return res, nil
 }
 
-// dialLoopback brings up an n-node TCP full mesh in this process: every
-// listener binds 127.0.0.1:0 first so the real addresses are known before
-// any node starts dialing.
-func dialLoopback(n, f int) ([]*transport.TCPNode, error) {
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:i] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("chaos: listen: %w", err)
+// Backend is an n-node wall-clock network: the runtimes a chaos.Net
+// wraps plus the hooks a runner drives the nodes through.
+type Backend struct {
+	Runtimes   []rt.Runtime
+	Crash      func(id int)
+	SetHandler func(id int, h rt.Handler)
+	// Restart installs a recovered node's handler and lifts its crash. It
+	// is nil on tcp, where a restart is a process restart.
+	Restart func(id int, h rt.Handler)
+	Close   func()
+}
+
+// OpenBackend builds an n-node wall-clock network by name, with one
+// virtual D = DReal: "chan" is in-process goroutine links whose delays
+// seed draws, "tcp" a transport.NewLoopbackMesh of all n nodes in this
+// process, whose nodes share one clock zero (cluster cut frontiers
+// compare Now() across nodes). obs, if set, observes every message.
+func OpenBackend(name string, n, f int, seed int64, obs rt.Observer) (*Backend, error) {
+	b := &Backend{Runtimes: make([]rt.Runtime, n)}
+	switch name {
+	case "chan":
+		cn := transport.NewChanNet(transport.ChanConfig{N: n, F: f, D: DReal, Seed: seed, Observer: obs})
+		for i := range b.Runtimes {
+			b.Runtimes[i] = cn.Runtime(i)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nodes[i], errs[i] = transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: f, D: DReal, Listener: lns[i],
-			})
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+		b.Crash, b.SetHandler, b.Restart, b.Close = cn.Crash, cn.SetHandler, cn.Restart, cn.Close
+	case "tcp":
+		nodes, err := transport.NewLoopbackMesh(n, func(_ int, cfg *transport.TCPConfig) {
+			cfg.F, cfg.D, cfg.Observer = f, DReal, obs
+		})
 		if err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
+		}
+		for i, nd := range nodes {
+			b.Runtimes[i] = nd.Runtime()
+		}
+		b.Crash = func(id int) { nodes[id].Crash() }
+		b.SetHandler = func(id int, h rt.Handler) { nodes[id].SetHandler(h) }
+		b.Close = func() {
 			for _, nd := range nodes {
-				if nd != nil {
-					nd.Close()
-				}
+				nd.Close()
 			}
-			return nil, fmt.Errorf("chaos: tcp node %d: %w", i, err)
 		}
+	default:
+		return nil, fmt.Errorf("chaos: unknown backend %q (want chan|tcp)", name)
 	}
-	return nodes, nil
+	return b, nil
 }

@@ -25,7 +25,7 @@ func buildWorld(t *testing.T, shards, n, f int, seed int64) (*sim.World, []*Node
 		nd, err := NewNode(w.Runtime(id), Config{
 			Map:    m,
 			Health: health,
-			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
+			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, engine.Object) {
 				e := engine.MustLookup("eqaso").New(r)
 				return e, e
 			},
@@ -215,7 +215,7 @@ func TestShardMapVersionRace(t *testing.T) {
 		nd, err := NewNode(w.Runtime(id), Config{
 			Map:       v1,
 			Provision: []ShardMap{v2},
-			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
+			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, engine.Object) {
 				e := engine.MustLookup("eqaso").New(r)
 				return e, e
 			},

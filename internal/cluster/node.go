@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/mux"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/svc"
@@ -42,7 +43,7 @@ type Config struct {
 	// NewEngine builds one shard engine on its shard-local runtime,
 	// returning the engine's message handler and client face. The same
 	// constructor must be used on every member. Required.
-	NewEngine func(shard int, r rt.Runtime) (rt.Handler, svc.Object)
+	NewEngine func(shard int, r rt.Runtime) (rt.Handler, engine.Object)
 	// SvcOptions configures each owned shard's service front. Coalesce is
 	// reserved (the node installs the cumulative key-map merger).
 	SvcOptions svc.Options

@@ -11,7 +11,6 @@ import (
 	_ "mpsnap/internal/engine/all" // register every snapshot engine
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
-	"mpsnap/internal/svc"
 	"mpsnap/internal/wal"
 )
 
@@ -369,7 +368,7 @@ func newNodeBuilder(cfg RunConfig, m ShardMap, health *Health) *nodeBuilder {
 func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 	var seed []byte
 	c := Config{Map: b.m, Health: b.health}
-	c.NewEngine = func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
+	c.NewEngine = func(shard int, r rt.Runtime) (rt.Handler, engine.Object) {
 		in := b.cfg.engineFor(shard)
 		if !recover {
 			nd := in.New(r)

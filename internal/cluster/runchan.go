@@ -3,13 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"mpsnap/internal/chaos"
 	"mpsnap/internal/rt"
-	"mpsnap/internal/transport"
 )
 
 // RunChan executes one cluster chaos run over the in-process channel
@@ -37,46 +35,15 @@ func runWall(cfg RunConfig, backend string) (*Report, error) {
 	total := m.NumNodes()
 	health := NewHealth(total)
 
-	unders := make([]rt.Runtime, total)
-	var crashFn func(id int)
-	var setHandler func(id int, h rt.Handler)
-	var restartFn func(id int, h rt.Handler)
-	var closeNet func()
-	switch backend {
-	case "chan":
-		cn := transport.NewChanNet(transport.ChanConfig{
-			N: total, F: cfg.F, D: chaos.DReal, Seed: cfg.Seed, Observer: health,
-		})
-		for i := 0; i < total; i++ {
-			unders[i] = cn.Runtime(i)
-		}
-		crashFn = cn.Crash
-		setHandler = cn.SetHandler
-		restartFn = cn.Restart
-		closeNet = cn.Close
-	case "tcp":
-		if cfg.Mix.Restarts > 0 || cfg.CrashShard >= 0 {
-			return nil, fmt.Errorf("cluster: restarts (incl. the recovering whole-shard crash) run on sim and chan only (a tcp restart is a process restart)")
-		}
-		tns, err := dialLoopback(total, cfg.F, health)
-		if err != nil {
-			return nil, err
-		}
-		for i, tn := range tns {
-			unders[i] = tn.Runtime()
-		}
-		crashFn = func(id int) { tns[id].Crash() }
-		setHandler = func(id int, h rt.Handler) { tns[id].SetHandler(h) }
-		closeNet = func() {
-			for _, tn := range tns {
-				tn.Close()
-			}
-		}
-	default:
-		return nil, fmt.Errorf("cluster: unknown backend %q (want chan|tcp)", backend)
+	if backend == "tcp" && (cfg.Mix.Restarts > 0 || cfg.CrashShard >= 0) {
+		return nil, fmt.Errorf("cluster: restarts (incl. the recovering whole-shard crash) run on sim and chan only (a tcp restart is a process restart)")
 	}
-	defer closeNet()
-	nt := chaos.NewNet(cfg.Seed+3, unders, crashFn)
+	back, err := chaos.OpenBackend(backend, total, cfg.F, cfg.Seed, health)
+	if err != nil {
+		return nil, err
+	}
+	defer back.Close()
+	nt := chaos.NewNet(cfg.Seed+3, back.Runtimes, back.Crash)
 
 	scheds := shardSchedules(cfg)
 	events := globalEvents(cfg, m, scheds)
@@ -179,10 +146,10 @@ func runWall(cfg RunConfig, backend string) (*Report, error) {
 			return nil, err
 		}
 		nodes[id] = nd
-		setHandler(id, nd.Handler())
+		back.SetHandler(id, nd.Handler())
 	}
 
-	if restartFn != nil {
+	if back.Restart != nil {
 		incarnation := make([]int64, total)
 		nt.OnRestart(func(id int) {
 			if !nt.Crashed(id) || now() >= cfg.Duration {
@@ -190,14 +157,14 @@ func runWall(cfg RunConfig, backend string) (*Report, error) {
 			}
 			// Lock-step with the dead incarnation's last critical section
 			// before touching its WAL (appends run under the node's mutex).
-			unders[id].Atomic(func() {})
+			back.Runtimes[id].Atomic(func() {})
 			b.files[id].Crash()
 			nd, err := NewNode(nt.Runtime(id), b.nodeConfig(id, true))
 			if err != nil {
 				return
 			}
 			setNode(id, nd)
-			restartFn(id, nd.Handler())
+			back.Restart(id, nd.Handler())
 			nt.ClearCrashed(id)
 			incarnation[id]++
 			inc := incarnation[id]
@@ -242,51 +209,4 @@ func runWall(cfg RunConfig, backend string) (*Report, error) {
 	}
 	rep.finishSkew()
 	return rep, nil
-}
-
-// dialLoopback brings up a total-node TCP full mesh in this process:
-// every listener binds 127.0.0.1:0 first so the real addresses are known
-// before any node starts dialing.
-func dialLoopback(total, f int, obs rt.Observer) ([]*transport.TCPNode, error) {
-	lns := make([]net.Listener, total)
-	addrs := make([]string, total)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:i] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("cluster: listen: %w", err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	tns := make([]*transport.TCPNode, total)
-	errs := make([]error, total)
-	// One shared epoch: cut frontiers compare Now() across nodes, so
-	// per-node construction skew must not show up as clock skew.
-	epoch := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < total; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tns[i], errs[i] = transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: f, D: chaos.DReal, Listener: lns[i], Observer: obs, Epoch: epoch,
-			})
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			for _, tn := range tns {
-				if tn != nil {
-					tn.Close()
-				}
-			}
-			return nil, fmt.Errorf("cluster: tcp node %d: %w", i, err)
-		}
-	}
-	return tns, nil
 }

@@ -24,14 +24,13 @@ import (
 	"mpsnap/internal/wal"
 )
 
-// Engine is the client+server face of one snapshot-object node: the
-// message handler driven by the server thread plus the Update/Scan
-// operations driven by the node's single client thread. Construct it on a
-// runtime via Info.New (or Info.Recover) and install it as the node's
-// handler before operating on it.
-type Engine interface {
-	rt.Handler
-	// Update writes payload into this node's own segment. The engine
+// Object is the client face of a snapshot object: the Update/Scan pair
+// every snapshot object in this repository implements (EQ-ASO, SSO,
+// Byz-ASO, the challengers and all baselines), and the one contract the
+// harness, the service layer, the chaos runners and the public facade
+// drive objects through.
+type Object interface {
+	// Update writes payload into this node's own segment. The object
 	// keeps payload without copying it, and self-deliveries and in-process
 	// transports hand the same slice to handlers, so the caller must not
 	// mutate it after the call.
@@ -40,6 +39,16 @@ type Engine interface {
 	// written). For Sequential engines the snapshot is sequentially
 	// consistent rather than linearizable.
 	Scan() ([][]byte, error)
+}
+
+// Engine is the client+server face of one snapshot-object node: the
+// message handler driven by the server thread plus the Object operations
+// driven by the node's single client thread. Construct it on a runtime
+// via Info.New (or Info.Recover) and install it as the node's handler
+// before operating on it.
+type Engine interface {
+	rt.Handler
+	Object
 }
 
 // Observable is implemented by engines that emit operation lifecycle

@@ -54,7 +54,7 @@ func TestEngineSmoke(t *testing.T) {
 			if err := in.Validate(n, f); err != nil {
 				t.Fatalf("Validate(%d, %d): %v", n, f, err)
 			}
-			c := harness.Build(sim.Config{N: n, F: f, Seed: 11}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+			c := harness.Build(sim.Config{N: n, F: f, Seed: 11}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 				e := in.New(r)
 				return e, e
 			})

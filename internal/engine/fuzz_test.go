@@ -65,7 +65,7 @@ func fuzzSeed(data []byte) int64 {
 func runSchedule(t *testing.T, name string, ops []fuzzOp, seed int64) map[int][]string {
 	t.Helper()
 	in := engine.MustLookup(name)
-	c := harness.Build(sim.Config{N: fuzzN, F: fuzzF, Seed: seed}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: fuzzN, F: fuzzF, Seed: seed}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		e := in.New(r)
 		return e, e
 	})

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"mpsnap/internal/core"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
@@ -17,7 +18,7 @@ import (
 
 // build constructs an EQ-ASO cluster.
 func build(cfg sim.Config) *harness.Cluster {
-	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := eqaso.New(r)
 		return nd, nd
 	})
@@ -217,7 +218,7 @@ func TestGoodLatticeViewsComparable(t *testing.T) {
 	n := 6
 	var mu sync.Mutex
 	var views []core.View
-	c := harness.Build(sim.Config{N: n, F: 2, Seed: 21}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: 2, Seed: 21}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := eqaso.New(r)
 		nd.OnGoodLattice = func(tag core.Tag, view core.View) {
 			mu.Lock()
@@ -260,7 +261,7 @@ func TestPerWriterTimestampsIncrease(t *testing.T) {
 	// (uniqueness assumption underlying Definition 4).
 	n := 5
 	var nodes []*eqaso.Node
-	c := harness.Build(sim.Config{N: n, F: 2, Seed: 33}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: 2, Seed: 33}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := eqaso.New(r)
 		nodes = append(nodes, nd)
 		return nd, nd
@@ -369,7 +370,7 @@ func TestGoodViewCachesStayBounded(t *testing.T) {
 	// in-flight activity thanks to pruneBelow.
 	n := 5
 	var nodes []*eqaso.Node
-	c := harness.Build(sim.Config{N: n, F: 2, Seed: 17}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: 2, Seed: 17}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := eqaso.New(r)
 		nodes = append(nodes, nd)
 		return nd, nd
@@ -409,7 +410,7 @@ func TestGoodViewCachesStayBounded(t *testing.T) {
 
 func TestStatsAndDirectViews(t *testing.T) {
 	var nd0 *eqaso.Node
-	c := harness.Build(sim.Config{N: 3, F: 1, Seed: 4}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: 3, F: 1, Seed: 4}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := eqaso.New(r)
 		if r.ID() == 0 {
 			nd0 = nd

@@ -6,8 +6,8 @@ import (
 	"mpsnap/internal/baseline/delporte"
 	"mpsnap/internal/baseline/laaso"
 	"mpsnap/internal/baseline/storecollect"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/explore"
-	"mpsnap/internal/harness"
 	"mpsnap/internal/sim"
 )
 
@@ -18,19 +18,19 @@ func TestBaselinesUnderExploration(t *testing.T) {
 	cases := []struct {
 		name  string
 		depth int
-		mk    func(w *sim.World, i int) harness.Object
+		mk    func(w *sim.World, i int) engine.Object
 	}{
-		{"delporte", 5, func(w *sim.World, i int) harness.Object {
+		{"delporte", 5, func(w *sim.World, i int) engine.Object {
 			nd := delporte.New(w.Runtime(i))
 			w.SetHandler(i, nd)
 			return nd
 		}},
-		{"storecollect", 4, func(w *sim.World, i int) harness.Object {
+		{"storecollect", 4, func(w *sim.World, i int) engine.Object {
 			nd := storecollect.New(w.Runtime(i))
 			w.SetHandler(i, nd)
 			return nd
 		}},
-		{"laaso", 4, func(w *sim.World, i int) harness.Object {
+		{"laaso", 4, func(w *sim.World, i int) engine.Object {
 			nd := laaso.New(w.Runtime(i))
 			w.SetHandler(i, nd)
 			return nd

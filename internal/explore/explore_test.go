@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/explore"
 	"mpsnap/internal/harness"
@@ -16,11 +17,11 @@ import (
 // oneShotScenario builds the canonical two-operation scenario: node 0
 // updates; after the update completes, node 2 scans. A linearizable
 // object must make the scan see the update under EVERY schedule.
-func oneShotScenario(mk func(w *sim.World, i int) harness.Object) func(s sim.Sequencer) error {
+func oneShotScenario(mk func(w *sim.World, i int) engine.Object) func(s sim.Sequencer) error {
 	return func(s sim.Sequencer) error {
 		const n, f = 3, 1
 		w := sim.New(sim.Config{N: n, F: f, Seed: 1, Sequencer: s})
-		objs := make([]harness.Object, n)
+		objs := make([]engine.Object, n)
 		for i := 0; i < n; i++ {
 			objs[i] = mk(w, i)
 		}
@@ -67,7 +68,7 @@ func oneShotScenario(mk func(w *sim.World, i int) harness.Object) func(s sim.Seq
 // the "typical quorum techniques" of Section III-B.
 func TestSketchCounterexampleFound(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 8, MaxRuns: 200000},
-		oneShotScenario(func(w *sim.World, i int) harness.Object {
+		oneShotScenario(func(w *sim.World, i int) engine.Object {
 			o := la.NewOneShot(w.Runtime(i))
 			w.SetHandler(i, o)
 			return o
@@ -79,7 +80,7 @@ func TestSketchCounterexampleFound(t *testing.T) {
 	t.Logf("counterexample schedule %v found after %d runs: %v", v.Schedule, res.Runs, v.Err)
 
 	// The violation must replay deterministically.
-	replay := oneShotScenario(func(w *sim.World, i int) harness.Object {
+	replay := oneShotScenario(func(w *sim.World, i int) engine.Object {
 		o := la.NewOneShot(w.Runtime(i))
 		w.SetHandler(i, o)
 		return o
@@ -93,7 +94,7 @@ func TestSketchCounterexampleFound(t *testing.T) {
 // added, every schedule of the bounded tree is linearizable.
 func TestOneShotAtomicSurvivesAllSchedules(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 6, MaxRuns: 300000},
-		oneShotScenario(func(w *sim.World, i int) harness.Object {
+		oneShotScenario(func(w *sim.World, i int) engine.Object {
 			o := la.NewOneShotAtomic(w.Runtime(i))
 			w.SetHandler(i, o)
 			return o
@@ -114,7 +115,7 @@ func TestOneShotAtomicSurvivesAllSchedules(t *testing.T) {
 // bounded-exhaustive exploration.
 func TestEQASOSurvivesAllSchedules(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 5, MaxRuns: 300000},
-		oneShotScenario(func(w *sim.World, i int) harness.Object {
+		oneShotScenario(func(w *sim.World, i int) engine.Object {
 			nd := eqaso.New(w.Runtime(i))
 			w.SetHandler(i, nd)
 			return nd

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/explore"
 	"mpsnap/internal/harness"
@@ -16,11 +17,11 @@ import (
 // scans twice in sequence — the shape that stresses condition (A1)
 // (comparable bases) and (A3) (same-node scan monotonicity) under every
 // delivery order.
-func concurrentScenario(mk func(w *sim.World, i int) harness.Object) func(s sim.Sequencer) error {
+func concurrentScenario(mk func(w *sim.World, i int) engine.Object) func(s sim.Sequencer) error {
 	return func(s sim.Sequencer) error {
 		const n, f = 3, 1
 		w := sim.New(sim.Config{N: n, F: f, Seed: 1, Sequencer: s})
-		objs := make([]harness.Object, n)
+		objs := make([]engine.Object, n)
 		for i := 0; i < n; i++ {
 			objs[i] = mk(w, i)
 		}
@@ -60,7 +61,7 @@ func concurrentScenario(mk func(w *sim.World, i int) harness.Object) func(s sim.
 
 func TestConcurrentUpdatesAllSchedulesEQASO(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 4, MaxRuns: 400000},
-		concurrentScenario(func(w *sim.World, i int) harness.Object {
+		concurrentScenario(func(w *sim.World, i int) engine.Object {
 			nd := eqaso.New(w.Runtime(i))
 			w.SetHandler(i, nd)
 			return nd
@@ -76,7 +77,7 @@ func TestConcurrentUpdatesAllSchedulesEQASO(t *testing.T) {
 
 func TestConcurrentUpdatesAllSchedulesOneShotAtomic(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 5, MaxRuns: 400000},
-		concurrentScenario(func(w *sim.World, i int) harness.Object {
+		concurrentScenario(func(w *sim.World, i int) engine.Object {
 			o := la.NewOneShotAtomic(w.Runtime(i))
 			w.SetHandler(i, o)
 			return o
@@ -98,7 +99,7 @@ func crashScenario() func(s sim.Sequencer) error {
 	return func(s sim.Sequencer) error {
 		const n, f = 5, 2
 		w := sim.New(sim.Config{N: n, F: f, Seed: 1, Sequencer: s})
-		objs := make([]harness.Object, n)
+		objs := make([]engine.Object, n)
 		for i := 0; i < n; i++ {
 			nd := eqaso.New(w.Runtime(i))
 			w.SetHandler(i, nd)

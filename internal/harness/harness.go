@@ -8,24 +8,16 @@ import (
 	"fmt"
 	"sort"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/history"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
 )
 
-// Object is the client interface every snapshot object in this repository
-// implements (EQ-ASO, SSO, Byzantine ASO, and all baselines).
-type Object interface {
-	// Update writes payload to the caller's segment.
-	Update(payload []byte) error
-	// Scan returns one entry per segment; nil marks ⊥.
-	Scan() ([][]byte, error)
-}
-
 // Cluster is a simulated deployment of one snapshot object.
 type Cluster struct {
 	W       *sim.World
-	Objects []Object
+	Objects []engine.Object
 	Rec     *history.Recorder
 
 	nextCID []int // per-node client-id counter (multi-client runs)
@@ -33,10 +25,10 @@ type Cluster struct {
 
 // Build constructs a cluster: for each node, mk creates the message handler
 // and the client object (they are usually the same value).
-func Build(cfg sim.Config, mk func(r rt.Runtime) (rt.Handler, Object)) *Cluster {
+func Build(cfg sim.Config, mk func(r rt.Runtime) (rt.Handler, engine.Object)) *Cluster {
 	w := sim.New(cfg)
 	c := &Cluster{W: w, Rec: history.NewRecorder(cfg.N), nextCID: make([]int, cfg.N)}
-	c.Objects = make([]Object, cfg.N)
+	c.Objects = make([]engine.Object, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		h, obj := mk(w.Runtime(i))
 		w.SetHandler(i, h)
@@ -49,7 +41,7 @@ func Build(cfg sim.Config, mk func(r rt.Runtime) (rt.Handler, Object)) *Cluster 
 type OpRunner struct {
 	c    *Cluster
 	P    *sim.Proc
-	obj  Object
+	obj  engine.Object
 	node int
 	cid  int
 	seq  int
@@ -67,7 +59,7 @@ func (c *Cluster) Client(node int, script func(o *OpRunner)) {
 // client id; value uniqueness across a node's clients is preserved (the
 // first client writes "v<node>-<seq>" exactly as single-client runs always
 // did, client c>0 writes "v<node>.<c>-<seq>").
-func (c *Cluster) ClientOn(node int, obj Object, script func(o *OpRunner)) {
+func (c *Cluster) ClientOn(node int, obj engine.Object, script func(o *OpRunner)) {
 	cid := c.nextCID[node]
 	c.nextCID[node]++
 	name := fmt.Sprintf("client-%d", node)
@@ -83,7 +75,7 @@ func (c *Cluster) ClientOn(node int, obj Object, script func(o *OpRunner)) {
 func (o *OpRunner) Node() int { return o.node }
 
 // Object returns the object this runner drives (unrecorded).
-func (o *OpRunner) Object() Object { return o.obj }
+func (o *OpRunner) Object() engine.Object { return o.obj }
 
 // Update issues a recorded UPDATE with an automatically unique value
 // ("v<node>-<seq>", or "v<node>.<cid>-<seq>" for extra clients) and

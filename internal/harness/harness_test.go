@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/history"
@@ -12,7 +13,7 @@ import (
 )
 
 func build(cfg sim.Config) *harness.Cluster {
-	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := eqaso.New(r)
 		return nd, nd
 	})
@@ -68,7 +69,7 @@ func TestMustLinearizableReportsViolations(t *testing.T) {
 	// with a descriptive error.
 	type brokenObj struct{ n int }
 	var _ = brokenObj{}
-	c := harness.Build(sim.Config{N: 2, F: 0, Seed: 1}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: 2, F: 0, Seed: 1}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		return rt.HandlerFunc(func(int, rt.Message) {}), lossyObject{n: r.N()}
 	})
 	c.Client(0, func(o *harness.OpRunner) {

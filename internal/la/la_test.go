@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mpsnap/internal/core"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/la"
 	"mpsnap/internal/rt"
@@ -21,7 +22,7 @@ func TestOneShotSketchEnsuresComparableBases(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(5)
 		f := (n - 1) / 2
-		c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+		c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 			o := la.NewOneShot(r)
 			return o, o
 		})
@@ -76,7 +77,7 @@ func TestOneShotAtomicLinearizable(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(5)
 		f := (n - 1) / 2
-		c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+		c := harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 			o := la.NewOneShotAtomic(r)
 			return o, o
 		})
@@ -117,7 +118,7 @@ func TestOneShotAtomicLinearizable(t *testing.T) {
 }
 
 func TestOneShotDoubleUpdateRejected(t *testing.T) {
-	c := harness.Build(sim.Config{N: 3, F: 1, Seed: 1}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: 3, F: 1, Seed: 1}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		o := la.NewOneShot(r)
 		return o, o
 	})

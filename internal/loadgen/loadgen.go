@@ -34,9 +34,7 @@
 package loadgen
 
 import (
-	"fmt"
 	"math/rand"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -193,58 +191,31 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// Bind ephemeral loopback ports first so every node knows the mesh.
-	listeners := make([]net.Listener, cfg.N)
-	addrs := make([]string, cfg.N)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return Result{}, err
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, cfg.N)
-	services := make([]*svc.Service, cfg.N)
-	errs := make(chan error, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		i := i
-		go func() {
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: cfg.F, D: cfg.D,
-				Listener: listeners[i],
-				Legacy:   cfg.Legacy, FlushDelay: cfg.FlushDelay,
-			})
-			if err != nil {
-				errs <- fmt.Errorf("node %d: %w", i, err)
-				return
-			}
-			nodes[i] = tn
-			eng := engine.MustLookup(cfg.Engine).New(tn.Runtime())
-			tn.SetHandler(eng)
-			services[i] = svc.New(tn.Runtime(), eng, svc.Options{
-				Mode:       svc.ModeFor(cfg.Engine),
-				MaxPending: cfg.MaxPending,
-				// The optimized completion/batching path; Legacy keeps the
-				// pre-PR condvar wait and unbounded drain.
-				DirectWait:     !cfg.Legacy,
-				AdaptiveWindow: !cfg.Legacy,
-			})
-			errs <- nil
-		}()
-	}
-	for i := 0; i < cfg.N; i++ {
-		if err := <-errs; err != nil {
-			return Result{}, err
-		}
+	nodes, err := transport.NewLoopbackMesh(cfg.N, func(_ int, tc *transport.TCPConfig) {
+		tc.F, tc.D = cfg.F, cfg.D
+		tc.Legacy, tc.FlushDelay = cfg.Legacy, cfg.FlushDelay
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	defer func() {
 		for _, tn := range nodes {
-			if tn != nil {
-				tn.Close()
-			}
+			tn.Close()
 		}
 	}()
+	services := make([]*svc.Service, cfg.N)
+	for i, tn := range nodes {
+		eng := engine.MustLookup(cfg.Engine).New(tn.Runtime())
+		tn.SetHandler(eng)
+		services[i] = svc.New(tn.Runtime(), eng, svc.Options{
+			Mode:       svc.ModeFor(cfg.Engine),
+			MaxPending: cfg.MaxPending,
+			// The optimized completion/batching path; Legacy keeps the
+			// original condvar wait and unbounded drain.
+			DirectWait:     !cfg.Legacy,
+			AdaptiveWindow: !cfg.Legacy,
+		})
+	}
 	var workers sync.WaitGroup
 	for _, s := range services {
 		workers.Add(1)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/mux"
@@ -74,7 +75,7 @@ func TestTwoObjectsOverOneCluster(t *testing.T) {
 func TestMuxedHistoriesStayLinearizable(t *testing.T) {
 	const n, f = 4, 1
 	var muxes []*mux.Mux
-	c := harness.Build(sim.Config{N: n, F: f, Seed: 3}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: 3}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		m := mux.New(r)
 		muxes = append(muxes, m)
 		nd := eqaso.New(m.Channel("main"))

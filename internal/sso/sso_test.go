@@ -7,6 +7,7 @@ import (
 
 	"mpsnap/internal/byzaso"
 	"mpsnap/internal/core"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
@@ -14,7 +15,7 @@ import (
 )
 
 func build(cfg sim.Config) *harness.Cluster {
-	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := sso.New(r)
 		return nd, nd
 	})
@@ -206,7 +207,7 @@ func TestSSONotNecessarilyLinearizable(t *testing.T) {
 
 func TestByzantineSSO(t *testing.T) {
 	n, f := 7, 2
-	c := harness.Build(sim.Config{N: n, F: f, Seed: 6}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: 6}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := sso.NewByzantine(r)
 		return nd, nd
 	})
@@ -264,7 +265,7 @@ func (b *byzLiar) HandleMessage(src int, m rt.Message) {
 
 func TestByzantineSSOUnderActiveAdversary(t *testing.T) {
 	n, f := 7, 2
-	c := harness.Build(sim.Config{N: n, F: f, Seed: 31}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: 31}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := sso.NewByzantine(r)
 		if r.ID() < f {
 			return &byzLiar{inner: nd, r: r}, nd

@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/mux"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/wire"
@@ -41,7 +42,7 @@ type StoreConfig struct {
 	// NewObject builds one shard's protocol instance on a mux
 	// sub-runtime, returning its message handler and client face. The
 	// same constructor must be used on every node.
-	NewObject func(r rt.Runtime) (rt.Handler, Object)
+	NewObject func(r rt.Runtime) (rt.Handler, engine.Object)
 }
 
 // shard is one object instance plus its service front and this node's

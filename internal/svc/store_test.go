@@ -22,7 +22,7 @@ func buildStores(n, f int, seed int64, shards int) (*sim.World, []*svc.Store) {
 		w.SetHandler(i, m)
 		st, err := svc.NewStore(m, svc.StoreConfig{
 			Shards: shards,
-			NewObject: func(r rt.Runtime) (rt.Handler, svc.Object) {
+			NewObject: func(r rt.Runtime) (rt.Handler, engine.Object) {
 				nd := engine.MustLookup("eqaso").New(r)
 				return nd, nd
 			},
@@ -127,7 +127,7 @@ func TestStoreShardRouting(t *testing.T) {
 func TestStoreConfigErrors(t *testing.T) {
 	w := sim.New(sim.Config{N: 1, F: 0, Seed: 33})
 	m := mux.New(w.Runtime(0))
-	mk := func(r rt.Runtime) (rt.Handler, svc.Object) {
+	mk := func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := engine.MustLookup("eqaso").New(r)
 		return nd, nd
 	}

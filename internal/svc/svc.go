@@ -49,20 +49,11 @@ import (
 	"mpsnap/internal/rt"
 )
 
-// Object is the client face of a snapshot object (same contract as
-// harness.Object: EQ-ASO, SSO, Byz-ASO and all baselines implement it).
-type Object interface {
-	// Update writes payload to this node's segment.
-	Update(payload []byte) error
-	// Scan returns one entry per segment; nil marks ⊥.
-	Scan() ([][]byte, error)
-}
-
-// BatchObject is an Object with a batch-friendly UPDATE entry point: all
-// payloads commit with one protocol round sequence (EQ-ASO and the SSO
-// expose this; see eqaso.UpdateBatch).
+// BatchObject is an engine.Object with a batch-friendly UPDATE entry
+// point: all payloads commit with one protocol round sequence (EQ-ASO and
+// the SSO expose this; see eqaso.UpdateBatch).
 type BatchObject interface {
-	Object
+	engine.Object
 	// UpdateBatch writes the payloads, in order, as successive values of
 	// this node's segment, amortizing one lattice renewal over the batch.
 	UpdateBatch(payloads [][]byte) error
@@ -205,7 +196,7 @@ type request struct {
 // thread must run Serve.
 type Service struct {
 	rtm  rt.Runtime
-	obj  Object
+	obj  engine.Object
 	opts Options
 
 	// Guarded by the node's atomicity domain (rtm.Atomic / handler lock).
@@ -221,7 +212,7 @@ type Service struct {
 // New creates the service for one node's object. The object's protocol
 // handler must be registered with the runtime as usual; the service only
 // occupies the node's (single) client thread via Serve.
-func New(r rt.Runtime, obj Object, opts Options) *Service {
+func New(r rt.Runtime, obj engine.Object, opts Options) *Service {
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = DefaultMaxPending
 	}

@@ -25,7 +25,7 @@ type fixture struct {
 
 func build(n, f int, seed int64, alg string, opts svc.Options) *fixture {
 	fx := &fixture{}
-	fx.c = harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	fx.c = harness.Build(sim.Config{N: n, F: f, Seed: seed}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := engine.MustLookup(alg).New(r)
 		return nd, nd
 	})
@@ -151,7 +151,7 @@ func TestSerializeBaseline(t *testing.T) {
 // which client overflows) is deterministic.
 func TestRejectPolicyOverload(t *testing.T) {
 	const n, f = 3, 1
-	c := harness.Build(sim.Config{N: n, F: f, Seed: 21}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: 21}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := engine.MustLookup("eqaso").New(r)
 		return nd, nd
 	})
@@ -196,7 +196,7 @@ func TestRejectPolicyOverload(t *testing.T) {
 // instead of failing them; every operation eventually commits.
 func TestBlockPolicyBackpressure(t *testing.T) {
 	const n, f = 3, 1
-	c := harness.Build(sim.Config{N: n, F: f, Seed: 22}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: 22}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := engine.MustLookup("eqaso").New(r)
 		return nd, nd
 	})
@@ -261,7 +261,7 @@ func TestClosedRejectsNewRequests(t *testing.T) {
 // TestCloseDrainsQueue: requests admitted before Close are still served.
 func TestCloseDrainsQueue(t *testing.T) {
 	const n, f = 3, 1
-	c := harness.Build(sim.Config{N: n, F: f, Seed: 24}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+	c := harness.Build(sim.Config{N: n, F: f, Seed: 24}, func(r rt.Runtime) (rt.Handler, engine.Object) {
 		nd := engine.MustLookup("eqaso").New(r)
 		return nd, nd
 	})

@@ -33,9 +33,8 @@ func TestServiceOverChanTransport(t *testing.T) {
 			for i := 0; i < n; i++ {
 				rts[i] = net.Runtime(i)
 				nd := engine.MustLookup(alg).New(rts[i])
-				var obj svc.Object = nd
 				net.SetHandler(i, nd)
-				services[i] = svc.New(rts[i], obj, svc.Options{Mode: svc.ModeFor(alg)})
+				services[i] = svc.New(rts[i], nd, svc.Options{Mode: svc.ModeFor(alg)})
 				workers.Add(1)
 				go func(s *svc.Service) {
 					defer workers.Done()

@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"math/rand"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,52 +44,21 @@ type countingHandler struct{ n atomic.Int64 }
 func (h *countingHandler) HandleMessage(src int, msg rt.Message) { h.n.Add(1) }
 
 // benchPair builds a two-node mesh and returns the sender runtime plus
-// the receiver's delivery counter.
-func benchPair(b *testing.B, legacy bool) (rt.Runtime, *countingHandler, func()) {
+// the receiver's delivery counter. The mesh closes when the benchmark
+// ends.
+func benchPair(b *testing.B, legacy bool) (rt.Runtime, *countingHandler) {
 	b.Helper()
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, 2)
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		go func() {
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond,
-				Listener: listeners[i], Legacy: legacy,
-			})
-			nodes[i] = tn
-			done <- err
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-	}
+	nodes := newTestMesh(b, 2, func(_ int, cfg *transport.TCPConfig) { cfg.Legacy = legacy })
 	h := &countingHandler{}
 	nodes[0].SetHandler(h)
 	nodes[1].SetHandler(&countingHandler{})
-	return nodes[1].Runtime(), h, func() {
-		for _, tn := range nodes {
-			tn.Close()
-		}
-	}
+	return nodes[1].Runtime(), h
 }
 
 // runDeliver ships b.N messages from node 1 to node 0 and waits for the
 // last delivery, reporting allocations per delivered message.
 func runDeliver(b *testing.B, legacy bool) {
-	rtm, h, closeAll := benchPair(b, legacy)
-	defer closeAll()
+	rtm, h := benchPair(b, legacy)
 	pad := []byte("0123456789abcdef0123456789abcdef") // 32B body
 	b.ReportAllocs()
 	b.ResetTimer()

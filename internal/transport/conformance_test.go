@@ -10,6 +10,7 @@ import (
 	"mpsnap/internal/baseline/laaso"
 	"mpsnap/internal/baseline/storecollect"
 	"mpsnap/internal/byzaso"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/harness"
 	"mpsnap/internal/history"
@@ -17,11 +18,6 @@ import (
 	"mpsnap/internal/sso"
 	"mpsnap/internal/transport"
 )
-
-type object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
 
 // TestAllAlgorithmsOverChanTransport: the same algorithms that pass the
 // simulator conformance battery run over real goroutines, channels, and
@@ -33,29 +29,29 @@ func TestAllAlgorithmsOverChanTransport(t *testing.T) {
 		name       string
 		minNOver3F bool
 		sso        bool
-		mk         func(r rt.Runtime) (rt.Handler, object)
+		mk         func(r rt.Runtime) (rt.Handler, engine.Object)
 	}{
-		{name: "eqaso", mk: func(r rt.Runtime) (rt.Handler, object) {
+		{name: "eqaso", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := eqaso.New(r)
 			return nd, nd
 		}},
-		{name: "sso", sso: true, mk: func(r rt.Runtime) (rt.Handler, object) {
+		{name: "sso", sso: true, mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := sso.New(r)
 			return nd, nd
 		}},
-		{name: "byzaso", minNOver3F: true, mk: func(r rt.Runtime) (rt.Handler, object) {
+		{name: "byzaso", minNOver3F: true, mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := byzaso.New(r)
 			return nd, nd
 		}},
-		{name: "delporte", mk: func(r rt.Runtime) (rt.Handler, object) {
+		{name: "delporte", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := delporte.New(r)
 			return nd, nd
 		}},
-		{name: "storecollect", mk: func(r rt.Runtime) (rt.Handler, object) {
+		{name: "storecollect", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := storecollect.New(r)
 			return nd, nd
 		}},
-		{name: "laaso", mk: func(r rt.Runtime) (rt.Handler, object) {
+		{name: "laaso", mk: func(r rt.Runtime) (rt.Handler, engine.Object) {
 			nd := laaso.New(r)
 			return nd, nd
 		}},
@@ -72,7 +68,7 @@ func TestAllAlgorithmsOverChanTransport(t *testing.T) {
 			// coverage with canonical (re-encodable) encodings.
 			net := transport.NewChanNet(transport.ChanConfig{N: n, F: f, D: time.Millisecond, Seed: 7, CopyThrough: true})
 			defer net.Close()
-			objs := make([]object, n)
+			objs := make([]engine.Object, n)
 			rts := make([]rt.Runtime, n)
 			for i := 0; i < n; i++ {
 				rts[i] = net.Runtime(i)

@@ -13,58 +13,17 @@ import (
 	"mpsnap/internal/wire"
 )
 
-// dialMesh brings up an n-node loopback TCP mesh: every listener binds
-// 127.0.0.1:0 first so all addresses are known before any node dials,
-// then the nodes start concurrently (NewTCPNode returns only once it has
-// reached every peer). conf, if set, adjusts node i's config. The caller
-// closes the nodes.
-func dialMesh(n int, conf func(i int, cfg *transport.TCPConfig)) ([]*transport.TCPNode, error) {
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
-			}
-			return nil, err
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, n)
-	errs := make([]error, n)
-	var setup sync.WaitGroup
-	for i := 0; i < n; i++ {
-		cfg := transport.TCPConfig{ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond, Listener: listeners[i]}
-		if conf != nil {
-			conf(i, &cfg)
-		}
-		setup.Add(1)
-		go func(i int) {
-			defer setup.Done()
-			nodes[i], errs[i] = transport.NewTCPNode(cfg)
-		}(i)
-	}
-	setup.Wait()
-	for i, err := range errs {
-		if err != nil {
-			for _, tn := range nodes {
-				if tn != nil {
-					tn.Close()
-				}
-			}
-			return nil, fmt.Errorf("node %d setup: %w", i, err)
-		}
-	}
-	return nodes, nil
-}
-
-// newTestMesh is dialMesh for one test: setup errors fail the test, and
-// the nodes close when it ends.
-func newTestMesh(t *testing.T, n int, conf func(i int, cfg *transport.TCPConfig)) []*transport.TCPNode {
+// newTestMesh is transport.NewLoopbackMesh for one test, with a 5ms D
+// (conf may override it): setup errors fail the test, and the nodes close
+// when it ends.
+func newTestMesh(t testing.TB, n int, conf func(i int, cfg *transport.TCPConfig)) []*transport.TCPNode {
 	t.Helper()
-	nodes, err := dialMesh(n, conf)
+	nodes, err := transport.NewLoopbackMesh(n, func(i int, cfg *transport.TCPConfig) {
+		cfg.D = 5 * time.Millisecond
+		if conf != nil {
+			conf(i, cfg)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -365,7 +365,7 @@ func TestTCPSequentialCloseRightAfterSetup(t *testing.T) {
 	}
 	hung := 0
 	for r := 0; r < rounds; r++ {
-		nodes, err := dialMesh(n, nil)
+		nodes, err := transport.NewLoopbackMesh(n, nil)
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}

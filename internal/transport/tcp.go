@@ -62,7 +62,8 @@ type TCPConfig struct {
 	// nil, errors are recorded and retrievable via Errors.
 	OnError func(peer int, err error)
 	// Listener, if set, is used instead of listening on Addrs[ID]
-	// (lets tests bind :0 first and distribute the real addresses).
+	// (NewLoopbackMesh binds every node's 127.0.0.1:0 listener this way
+	// before any node starts, so all real addresses are known up front).
 	Listener net.Listener
 	// Epoch, if set, is the time-zero Now() measures ticks from instead
 	// of the node's construction instant. Deployments whose protocol

@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -97,58 +96,14 @@ func TestTCPEQASO(t *testing.T) {
 		t.Skip("tcp loopback test")
 	}
 	const n, f = 4, 1
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	tnodes := make([]*transport.TCPNode, n)
+	// The mesh gives all nodes one clock zero: the history orders
+	// operations across nodes by their Now() readings, and per-node zeros
+	// would turn setup skew into false real-time order.
+	tnodes := newTestMesh(t, n, func(_ int, cfg *transport.TCPConfig) { cfg.F = f })
 	nodes := make([]*eqaso.Node, n)
-	var setup sync.WaitGroup
-	errs := make([]error, n)
-	// One clock zero for all nodes: the history orders operations across
-	// nodes by their Now() readings, and per-node zeros would turn setup
-	// skew into false real-time order.
-	epoch := time.Now()
-	for i := 0; i < n; i++ {
-		i := i
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID:       i,
-				Addrs:    addrs,
-				F:        f,
-				D:        5 * time.Millisecond,
-				Listener: listeners[i],
-				Epoch:    epoch,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			tnodes[i] = tn
-			nodes[i] = eqaso.New(tn.Runtime())
-			tn.SetHandler(nodes[i])
-		}()
+	for i, tn := range tnodes {
+		nodes[i] = eqaso.New(tn.Runtime())
+		tn.SetHandler(nodes[i])
 	}
-	setup.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d setup: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, tn := range tnodes {
-			if tn != nil {
-				tn.Close()
-			}
-		}
-	}()
 	runRealTimeWorkload(t, nodes, func(i int) rt.Ticks { return tnodes[i].Runtime().Now() }, n)
 }

@@ -16,65 +16,25 @@ import (
 	"mpsnap/internal/wire"
 )
 
-// startMesh brings up an n-node TCP mesh on loopback with an error hook
-// per node and returns the nodes plus a per-node error sink.
+// startMesh brings up an n-node EQ-ASO mesh on loopback with an error
+// hook per node and returns the nodes plus a per-node error sink.
 func startMesh(t *testing.T, n, f int) ([]*transport.TCPNode, []*eqaso.Node, func() []error) {
 	t.Helper()
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
 	var errMu sync.Mutex
 	var surfaced []error
-	tnodes := make([]*transport.TCPNode, n)
-	nodes := make([]*eqaso.Node, n)
-	var setup sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID:       i,
-				Addrs:    addrs,
-				F:        f,
-				D:        5 * time.Millisecond,
-				Listener: listeners[i],
-				OnError: func(peer int, err error) {
-					errMu.Lock()
-					surfaced = append(surfaced, err)
-					errMu.Unlock()
-				},
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			tnodes[i] = tn
-			nodes[i] = eqaso.New(tn.Runtime())
-			tn.SetHandler(nodes[i])
-		}()
-	}
-	setup.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d setup: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, tn := range tnodes {
-			if tn != nil {
-				tn.Close()
-			}
+	tnodes := newTestMesh(t, n, func(_ int, cfg *transport.TCPConfig) {
+		cfg.F = f
+		cfg.OnError = func(peer int, err error) {
+			errMu.Lock()
+			surfaced = append(surfaced, err)
+			errMu.Unlock()
 		}
 	})
+	nodes := make([]*eqaso.Node, n)
+	for i, tn := range tnodes {
+		nodes[i] = eqaso.New(tn.Runtime())
+		tn.SetHandler(nodes[i])
+	}
 	return tnodes, nodes, func() []error {
 		errMu.Lock()
 		defer errMu.Unlock()

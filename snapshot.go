@@ -40,7 +40,6 @@ import (
 
 	"mpsnap/internal/engine"
 	_ "mpsnap/internal/engine/all"
-	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
 )
 
@@ -103,7 +102,7 @@ func (a Algorithm) RequiresNGreaterThan3F() bool {
 
 // Object is a snapshot object client bound to one node: Update writes the
 // node's own segment, Scan returns all n segments (nil = never written).
-type Object = harness.Object
+type Object = engine.Object
 
 // ErrCrashed is the error operations and waits fail with when the local
 // node has crashed. Client scripts match it with errors.Is to tell a
