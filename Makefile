@@ -42,10 +42,13 @@ test-race:
 	$(GO) test -race ./...
 
 # Crash-recovery matrix under the race detector: WAL replay, restart and
-# rejoin under chaos on both the sim and chan backends, plus the WAL's
-# crash-point suite and the pruned-log differential oracle.
+# rejoin under chaos on both the sim and chan backends, the WAL's
+# crash-point suite, the pruned-log differential oracle, eqaso's pruning
+# without a WAL (crash-stop included), and the TCP receive path's
+# per-source FIFO and split-frame delivery, repeated 20 times.
 test-recovery:
-	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential' ./internal/chaos/ ./internal/wal/ ./internal/core/
+	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential' ./internal/chaos/ ./internal/wal/ ./internal/core/ ./internal/eqaso/
+	$(GO) test -race -count=20 -run 'TestTCPPerSourceFIFO|TestTCPFramesAheadOfPartialFrameDelivered|TestTCPFrameWrittenInTwoHalves' ./internal/transport/
 
 # Sharded-cluster matrix under the race detector: routing, shard-map
 # races, and validated cross-shard cuts on the sim and chan backends

@@ -59,7 +59,7 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 	fs.StringVar(&cfg.HTTP, "http", "", "optional listen address for /metrics and /debug/trace")
 	fs.IntVar(&cfg.TraceCap, "trace-cap", 4096, "event capacity of the /debug/trace ring buffer")
 	fs.StringVar(&cfg.WAL, "wal", "", "write-ahead log file for crash-recovery; recovers and rejoins if it already has content (durable engines)")
-	fs.BoolVar(&cfg.GC, "gc", false, "prune the value log below the globally-vouched checkpoint (requires -wal)")
+	fs.BoolVar(&cfg.GC, "gc", false, "with -wal: prune the value log below the globally-vouched checkpoint (governs WAL deployments only; without a WAL, eqaso always prunes)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -99,7 +99,7 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 		return cfg, fmt.Errorf("-wal needs a crash-recovery engine, and %q has no WAL support", cfg.Engine)
 	}
 	if cfg.GC && cfg.WAL == "" {
-		return cfg, fmt.Errorf("-gc requires -wal (pruning is only safe below a durable checkpoint)")
+		return cfg, fmt.Errorf("-gc requires -wal (it governs WAL deployments only; without a WAL, eqaso always prunes)")
 	}
 	return cfg, nil
 }

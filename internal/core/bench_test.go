@@ -134,3 +134,27 @@ func BenchmarkEQTrackerSetup(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBelowFrontierThenAppend is the straggler pattern of a busy
+// node: a value arrives below the frozen frontier (copy-on-write), then
+// new values append. The copy must leave room for the appends, or each
+// round pays two whole-log copies instead of one.
+func BenchmarkBelowFrontierThenAppend(b *testing.B) {
+	const appends = 4
+	l := NewValueLog(benchNodes, 0)
+	for i := 0; i < benchH; i++ {
+		l.Add(0, Value{TS: Timestamp{Tag: Tag(2 * (i + 1)), Writer: 0}, Payload: benchValue(i).Payload})
+	}
+	next := Tag(2 * (benchH + 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.AdvanceFrontier(next)
+		// An odd tag below the frontier: the writer-1 straggler.
+		l.Add(1, Value{TS: Timestamp{Tag: next - 1, Writer: 1}, Payload: benchValue(i).Payload})
+		for k := 0; k < appends; k++ {
+			next += 2
+			l.Add(0, Value{TS: Timestamp{Tag: next, Writer: 0}, Payload: benchValue(i).Payload})
+		}
+	}
+}

@@ -40,8 +40,8 @@ type ValueLog struct {
 	frontier Tag      // largest tag passed to AdvanceFrontier
 	peers    []peerSet
 
-	off       int // values pruned below the globally-vouched checkpoint
-	prunedTag Tag // tag of the last checkpoint pruned to
+	off      int       // values pruned below the globally-vouched checkpoint
+	prunedTS Timestamp // the last (largest) pruned value's timestamp
 
 	// Per-writer extract over the pruned prefix (cumulative across prunes),
 	// published as preExt and attached to views so extracts stay exact.
@@ -153,8 +153,11 @@ func (l *ValueLog) RetainedLen() int { return len(l.vals) }
 // PrunedCount returns how many values have been garbage-collected.
 func (l *ValueLog) PrunedCount() int { return l.off }
 
-// PrunedTag returns the frontier tag of the last prune (0 when none).
-func (l *ValueLog) PrunedTag() Tag { return l.prunedTag }
+// PrunedTS returns the timestamp of the last pruned value (zero when
+// none). Every node held every value at or below it in timestamp order
+// when the prune's checkpoint was vouched (see PruneTo), so such a value
+// that this log lacks was pruned, not missed.
+func (l *ValueLog) PrunedTS() Timestamp { return l.prunedTS }
 
 // Len returns |V[j]|, counting the pruned prefix (a prune requires every
 // peer's cursor to cover it).
@@ -167,8 +170,9 @@ func (l *ValueLog) Len(j int) int {
 }
 
 // CountLE returns |V[j]^{≤r}| in O(log H + log |strag|). Exact for
-// r ≥ PrunedTag (every pruned value has tag ≤ PrunedTag, so the pruned
-// prefix is entirely below any such bound); below the prune point the
+// r ≥ PrunedTS().Tag (every pruned value has a tag at or below it, so
+// the pruned prefix is entirely below any such bound); below the prune
+// point the
 // count degrades to the prune-inclusive upper bound, which no protocol
 // query hits — operation tags only grow past vouched frontiers.
 func (l *ValueLog) CountLE(j int, r Tag) int {
@@ -191,13 +195,12 @@ func (l *ValueLog) CountLE(j int, r Tag) int {
 func (l *ValueLog) Add(j int, v Value) (newToJ, newToSelf bool) {
 	p, present := l.locate(v.TS)
 	if !present {
-		if l.off > 0 && v.TS.Tag <= l.prunedTag {
+		if l.off > 0 && !l.prunedTS.Less(v.TS) {
 			// Presumed already pruned: re-admitting a value at or below the
-			// pruned checkpoint tag would double-count it in the absolute
-			// counts and diverge the digests. In-protocol this loses
-			// nothing — a genuinely new value always carries a tag above
-			// any globally-vouched frontier (its writeTag quorum intersects
-			// the vouching lattice operation's readTag quorum).
+			// prune floor would double-count it in the absolute counts and
+			// diverge the digests. In-protocol this loses nothing — every
+			// node held every such value when the prune's checkpoint was
+			// vouched (see PruneTo), so this is a late copy.
 			return false, false
 		}
 		l.insert(p, v)
@@ -268,7 +271,7 @@ func (l *ValueLog) insert(p int, v Value) {
 	}
 	switch {
 	case p < l.frozen:
-		nv := make([]Value, len(l.vals)+1)
+		nv := make([]Value, len(l.vals)+1, headroom(len(l.vals)+1))
 		copy(nv, l.vals[:p])
 		nv[p] = v
 		copy(nv[p+1:], l.vals[p:])
@@ -292,6 +295,11 @@ func (l *ValueLog) insert(p int, v Value) {
 		l.digsum[i+1] = l.digsum[i] + digestValue(l.vals[i])
 	}
 }
+
+// headroom is the capacity for a reallocated array of n elements: spare
+// room in the manner of append's growth, so the appends that follow a
+// copy-on-write insert or a prune do not reallocate and copy again.
+func headroom(n int) int { return n + n/4 + 16 }
 
 // noteFrozen folds a newly frozen value into the master per-writer extract.
 func (l *ValueLog) noteFrozen(v Value) {
@@ -568,19 +576,24 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 		tags: append([]Tag(nil), l.preTags...),
 		pays: append([][]byte(nil), l.prePays...),
 	}
+	// The floor is the last pruned value's timestamp, not ck.Tag: a
+	// checkpoint names its node's frontier tag, which may exceed every
+	// value in the prefix, and a value between the two — or one tying the
+	// last pruned value's tag with a larger writer ID — was never pruned
+	// and may still be in flight. A value at or below the floor cannot
+	// be: its writer held it when it vouched, so it sorts into the
+	// writer's vouched prefix, which every node's log matches.
+	l.prunedTS = l.vals[idx-1].TS
 	// Fresh backing arrays: the old ones stay alive only while previously
 	// published views still reference them.
-	nv := make([]Value, len(l.vals)-idx)
+	nv := make([]Value, len(l.vals)-idx, headroom(len(l.vals)-idx))
 	copy(nv, l.vals[idx:])
 	l.vals = nv
-	nd := make([]uint64, len(l.digsum)-idx)
+	nd := make([]uint64, len(l.digsum)-idx, headroom(len(l.digsum)-idx))
 	copy(nd, l.digsum[idx:])
 	l.digsum = nd
 	l.frozen -= idx
 	l.off += idx
-	if ck.Tag > l.prunedTag {
-		l.prunedTag = ck.Tag
-	}
 	for j := range l.peers {
 		if j != l.self {
 			l.peers[j].prefix -= idx

@@ -157,3 +157,58 @@ func TestAddBelowPruneRejected(t *testing.T) {
 		t.Fatal("Add rejected a value above the pruned checkpoint tag")
 	}
 }
+
+// TestPrunedTSIsLastPrunedValue: the presumed-pruned floor is the
+// timestamp of the last value the prune dropped, not the checkpoint's
+// frontier tag. A frontier may be frozen at a tag above every value it
+// holds, and a value tagged between the two was not in the prefix; nor
+// was one that ties the last pruned value's tag with a larger writer ID.
+// Both must still be admitted when they arrive.
+func TestPrunedTSIsLastPrunedValue(t *testing.T) {
+	l := pruneFixture(t, []Tag{2, 4, 6}, 10)
+	ck := l.Frontier()
+	if ck.Tag != 10 || ck.Count != 3 {
+		t.Fatalf("frontier = %+v, want tag 10 count 3", ck)
+	}
+	if !l.PruneTo(ck) {
+		t.Fatal("PruneTo refused")
+	}
+	if got, want := l.PrunedTS(), (Timestamp{Tag: 6, Writer: 0}); got != want {
+		t.Fatalf("PrunedTS = %+v, want %+v (the last pruned value)", got, want)
+	}
+	if _, newSelf := l.Add(1, diffValue(8, 1)); !newSelf {
+		t.Fatal("Add dropped a value tagged between the last pruned value and the checkpoint tag")
+	}
+	if _, newSelf := l.Add(1, diffValue(6, 2)); !newSelf {
+		t.Fatal("Add dropped a value tying the last pruned value's tag with a larger writer ID")
+	}
+	if _, newSelf := l.Add(1, diffValue(6, 0)); newSelf {
+		t.Fatal("Add re-admitted the last pruned value")
+	}
+	if _, newSelf := l.Add(1, diffValue(5, 1)); newSelf {
+		t.Fatal("Add admitted a new value below the last pruned value")
+	}
+	if got := l.SelfLen(); got != 5 {
+		t.Fatalf("SelfLen = %d, want 5", got)
+	}
+}
+
+// TestCopyOnWriteLeavesHeadroom: a below-frontier insert reallocates the
+// backing array, and the append that follows it must fit in that new
+// array instead of reallocating and copying the log a second time.
+func TestCopyOnWriteLeavesHeadroom(t *testing.T) {
+	l := NewValueLog(3, 0)
+	for tag := Tag(2); tag <= 200; tag += 2 {
+		l.AddSelf(diffValue(tag, 0))
+	}
+	l.AdvanceFrontier(200)
+	l.AddSelf(diffValue(101, 1)) // below the frontier: copy-on-write
+	if got := l.Stats().COWInserts; got != 1 {
+		t.Fatalf("COWInserts = %d, want 1", got)
+	}
+	before := &l.vals[0]
+	l.AddSelf(diffValue(202, 0))
+	if &l.vals[0] != before {
+		t.Fatal("the append after a copy-on-write insert reallocated the log")
+	}
+}

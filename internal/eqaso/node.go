@@ -51,8 +51,9 @@ type Stats struct {
 	BorrowPendingServed int64 // replies sent late, once a view became known
 	BorrowDeltaRejects  int64 // received deltas whose checkpoint no longer matched
 
-	// Durability and garbage-collection counters (WAL mode only).
-	VouchesSent        int64 // checkpoint vouches broadcast after a durable frontier advance
+	// Vouch and garbage-collection counters (nodes with GC or a WAL), then
+	// crash-recovery counters (WAL mode only).
+	VouchesSent        int64 // checkpoint vouches broadcast after a frontier advance
 	LogPrunes          int64 // value-log prefixes garbage-collected
 	RejoinDeltaReplies int64 // rejoinReq answered with a delta above the base
 	RejoinFullReplies  int64 // rejoinReq answered with a full standalone view
@@ -92,11 +93,10 @@ type Node struct {
 
 	// Algorithm 1 local variables. log holds V[0..n-1] (the per-peer value
 	// sets) as one shared value log.
-	log       *core.ValueLog
-	maxTag    core.Tag                       // largest tag seen via writeTag/echoTag
-	borrow    map[core.Tag]map[int]core.View // D, kept per (tag, sender)
-	ownGood   map[core.Tag]core.View         // this node's good-lattice views
-	forwarded map[core.Timestamp]bool        // values already sent to all
+	log     *core.ValueLog
+	maxTag  core.Tag                       // largest tag seen via writeTag/echoTag
+	borrow  map[core.Tag]map[int]core.View // D, kept per (tag, sender)
+	ownGood map[core.Tag]core.View         // this node's good-lattice views
 
 	// In-flight quorum calls and the active EQ wait.
 	nextReq   int64
@@ -108,14 +108,15 @@ type Node struct {
 	pending   map[int]pendingBorrow // requester id → unanswered borrowReq
 	curBorrow *borrowWait
 
-	// Crash-recovery state (nil/zero when the node runs without a WAL).
-	// wal is the durability sink: own values are synced before they are
-	// disseminated, frontier checkpoints before they are vouched, prunes
-	// before they execute. vouched[j] is the largest checkpoint node j has
-	// durably vouched AND this log can verify; rawVouch[j] is the largest
-	// vouch received from j regardless of local verifiability (re-checked
-	// when the local frontier catches up); gc enables pruning below the
-	// global minimum.
+	// Vouch, GC and crash-recovery state. wal, when set, is the durability
+	// sink: own values are synced before they are disseminated, frontier
+	// checkpoints before they are vouched, prunes before they execute.
+	// vouched[j] is the largest checkpoint node j has vouched AND this log
+	// can verify; rawVouch[j] is the largest vouch received from j
+	// regardless of local verifiability (re-checked when the local
+	// frontier catches up); gc enables pruning below the global minimum.
+	// A node with neither gc nor a WAL keeps its full history and sends
+	// no vouches.
 	wal      *wal.Writer
 	gc       bool
 	vouched  []core.Checkpoint
@@ -138,7 +139,10 @@ type Node struct {
 }
 
 // New creates the EQ-ASO node for the given runtime. The caller must
-// register it as the node's message handler.
+// register it as the node's message handler. The node keeps its full
+// value history: callers that read whole learned views (gla's lattice
+// agreement) rely on it. The engine registry's constructor turns GC on
+// (see engine.go), and AttachWAL decides for durable nodes.
 func New(r rt.Runtime) *Node {
 	n := r.N()
 	nd := &Node{
@@ -149,7 +153,6 @@ func New(r rt.Runtime) *Node {
 		log:       core.NewValueLog(n, r.ID()),
 		borrow:    make(map[core.Tag]map[int]core.View),
 		ownGood:   make(map[core.Tag]core.View),
-		forwarded: make(map[core.Timestamp]bool),
 		readAcks:  make(map[int64]*readState),
 		writeAcks: make(map[int64]int),
 		pending:   make(map[int]pendingBorrow),
@@ -176,13 +179,14 @@ func (nd *Node) Stats() Stats {
 	return s
 }
 
-// MemoryStats reports the node's state sizes: the number of values held
-// (the snapshot's full value history — growth is inherent to the paper's
-// model, which never discards segment history) and the good-view caches,
-// which pruneBelow keeps proportional to in-flight activity rather than
-// to the execution's length.
+// MemoryStats reports the node's state sizes: the number of values
+// learned, the number held physically — with GC on, the active window
+// above the globally vouched checkpoint; without it, the whole history —
+// and the good-view caches, which pruneBelow keeps proportional to
+// in-flight activity rather than to the execution's length.
 type MemoryStats struct {
-	// Values is the size of V[id] (every value ever learned).
+	// Values is the size of V[id] (every value ever learned, pruned ones
+	// included).
 	Values int
 	// Retained is the number of values held physically; with GC enabled
 	// it tracks the active window instead of the whole history.
@@ -197,8 +201,6 @@ type MemoryStats struct {
 	Frozen int
 	// BorrowTags / OwnGoodTags count cached good views.
 	BorrowTags, OwnGoodTags int
-	// Forwarded is the size of the forwarding dedup set.
-	Forwarded int
 }
 
 // Memory returns current state sizes (for tests and capacity planning).
@@ -212,7 +214,6 @@ func (nd *Node) Memory() MemoryStats {
 		m.Frozen = nd.log.Frontier().Count
 		m.BorrowTags = len(nd.borrow)
 		m.OwnGoodTags = len(nd.ownGood)
-		m.Forwarded = len(nd.forwarded)
 	})
 	return m
 }
@@ -329,39 +330,50 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 }
 
 // addValue admits a value received from src (the "value" handler, line 40
-// of Algorithm 1): into the log, the active EQ wait, the WAL, and —
-// once per timestamp — back out to everyone (reliable broadcast).
+// of Algorithm 1): into the log, the active EQ wait, the WAL, and — on
+// first receipt — back out to everyone (reliable broadcast). The log is
+// the dedup set: a value is forwarded exactly when it is new to V[self].
+// Own values are skipped (the writer broadcasts them itself), and so are
+// values at or below the prune point, which the log drops because every
+// node already held them.
 func (nd *Node) addValue(src int, v core.Value) {
 	newToJ, newToSelf := nd.log.Add(src, v)
 	if nd.wait != nil {
 		nd.wait.OnAdd(src, v, newToJ, newToSelf)
 	}
-	if newToSelf && nd.wal != nil {
+	if !newToSelf {
+		return
+	}
+	if nd.wal != nil {
 		nd.wal.AppendValue(src, v)
 	}
-	if !nd.forwarded[v.TS] {
-		nd.forwarded[v.TS] = true
+	if v.TS.Writer != nd.id {
 		nd.rt.Broadcast(MsgValue{Val: v})
 	}
 }
 
-// vouchFrontier durably checkpoints the current frontier and vouches it to
-// all peers. Called (atomically) after a good lattice operation advanced
-// the frontier; the checkpoint is WAL-synced BEFORE the vouch broadcast,
-// so a peer can only GC below a frontier this node will still hold after
-// any crash. The node's own vouch is recorded via the self-delivered
+// vouchFrontier checkpoints the current frontier and vouches it to all
+// peers. Called (atomically) after a good lattice operation advanced the
+// frontier, in the same critical section as the goodLA broadcast, so the
+// vouch rides the same socket writes. With a WAL the checkpoint is synced
+// BEFORE the vouch broadcast, so a peer can only GC below a frontier this
+// node will still hold after any crash; without one, the node is
+// crash-stop and a vouch it can no longer honour is never needed (see
+// DESIGN.md §9). The node's own vouch is recorded via the self-delivered
 // broadcast.
 func (nd *Node) vouchFrontier() {
-	if nd.wal == nil {
+	if nd.wal == nil && !nd.gc {
 		return
 	}
 	ck := nd.log.Frontier()
 	if ck.Count <= nd.vouched[nd.id].Count {
 		return
 	}
-	nd.wal.AppendCheckpoint(ck)
-	if nd.wal.Sync() != nil {
-		return
+	if nd.wal != nil {
+		nd.wal.AppendCheckpoint(ck)
+		if nd.wal.Sync() != nil {
+			return
+		}
 	}
 	nd.stats.VouchesSent++
 	nd.rt.Broadcast(MsgCkptVouch{Ck: ck})
@@ -405,11 +417,11 @@ func (nd *Node) recheckVouches() {
 }
 
 // maybeGC prunes the value log below the smallest checkpoint every node
-// has durably vouched. The prune is WAL-logged and synced first so replay
+// has vouched. With a WAL the prune is logged and synced first so replay
 // prunes at the same point and recovered digests match live peers. Never
 // runs while an EQ wait is active (the tracker caches absolute counts).
 func (nd *Node) maybeGC() {
-	if nd.wal == nil || !nd.gc || nd.wait != nil {
+	if !nd.gc || nd.wait != nil {
 		return
 	}
 	floor := nd.vouched[0]
@@ -421,9 +433,11 @@ func (nd *Node) maybeGC() {
 	if floor.Count <= nd.log.PrunedCount() || !nd.log.Vouches(floor) {
 		return
 	}
-	nd.wal.AppendPrune(floor)
-	if nd.wal.Sync() != nil {
-		return
+	if nd.wal != nil {
+		nd.wal.AppendPrune(floor)
+		if nd.wal.Sync() != nil {
+			return
+		}
 	}
 	if nd.log.PruneTo(floor) {
 		nd.stats.LogPrunes++

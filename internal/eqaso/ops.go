@@ -201,18 +201,16 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 		return core.View{}, nil, err
 	}
 	tss = make([]core.Timestamp, len(payloads))
+	for i := range payloads {
+		tss[i] = core.Timestamp{Tag: r + 1 + core.Tag(i), Writer: nd.id}
+	}
 	var walErr error
-	nd.rt.Atomic(func() {
-		for i := range payloads {
-			tss[i] = core.Timestamp{Tag: r + 1 + core.Tag(i), Writer: nd.id}
-			nd.forwarded[tss[i]] = true
-		}
-		if nd.wal != nil {
-			// Durable-before-disseminate: admit the batch to V[self] and
-			// sync it BEFORE any peer can observe a value, so no value a
-			// survivor holds can be lost by this node's crash. Without a
-			// WAL the values enter the log through the self-delivered
-			// broadcast below, exactly as before.
+	if nd.wal != nil {
+		// Durable-before-disseminate: admit the batch to V[self] and sync
+		// it BEFORE any peer can observe a value, so no value a survivor
+		// holds can be lost by this node's crash. Without a WAL the values
+		// enter the log through the self-delivered broadcast below.
+		nd.rt.Atomic(func() {
 			for i := range payloads {
 				v := core.Value{TS: tss[i], Payload: payloads[i]}
 				if nd.log.AddSelf(v) {
@@ -220,8 +218,8 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 				}
 			}
 			walErr = nd.wal.Sync()
-		}
-	})
+		})
+	}
 	if walErr != nil {
 		// The batch is not durable: disseminating it would let peers act on
 		// (and GC behind) values this node cannot reconstruct after a crash.

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -76,12 +77,12 @@ func (h *fifoHandler) status() (int, error) {
 	return h.delivered, h.violation
 }
 
-// TestTCPPerSourceFIFO is the property test for the pipelined inbound
-// dispatch path: several peers concurrently blast sequence-numbered
+// TestTCPPerSourceFIFO is the property test for the batched inbound
+// delivery path: several peers concurrently blast sequence-numbered
 // messages at one node, and every source's sequence must be delivered
-// gap-free and in order even though framing/decode and handler execution
-// now run on different goroutines. Run with -race this also exercises
-// the dispatcher's publication safety.
+// gap-free and in order while each connection's receive loop batches
+// whatever frames its read buffer holds. Run with -race this also
+// exercises concurrent receive loops delivering into one node.
 func TestTCPPerSourceFIFO(t *testing.T) {
 	const senders = 3
 	const perSender = 2000
@@ -240,5 +241,140 @@ func TestTCPFlushTimerSolitaryFrame(t *testing.T) {
 			t.Fatal("solitary frame never delivered: the flush timer did not fire")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// rawPeerNode starts node 0 of a two-node deployment whose node 1 is the
+// test itself: node 0's outbound stream to 1 is drained and discarded, and
+// the returned connection is an inbound stream into node 0, already past
+// its handshake as node 1. The test writes raw frame bytes to it.
+func rawPeerNode(t *testing.T, h rt.Handler) net.Conn {
+	t.Helper()
+	fake, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fake.Close() })
+	go func() {
+		for {
+			c, err := fake.Accept()
+			if err != nil {
+				return
+			}
+			go func() { io.Copy(io.Discard, c); c.Close() }()
+		}
+	}()
+	own, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := transport.NewTCPNode(transport.TCPConfig{
+		ID: 0, Addrs: []string{own.Addr().String(), fake.Addr().String()},
+		F: 0, D: 5 * time.Millisecond, Listener: own,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.SetHandler(h)
+	conn, err := net.Dial("tcp", tn.Addr())
+	if err != nil {
+		tn.Close()
+		t.Fatal(err)
+	}
+	// Close the dialed end first: the node's receive loop for it ends only
+	// when the stream does.
+	t.Cleanup(func() { conn.Close(); tn.Close() })
+	hello, err := wire.MarshalFrame(transport.Hello{ID: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+func benchFrame(t *testing.T, seq int) []byte {
+	t.Helper()
+	f, err := wire.MarshalFrame(benchMsg{Seq: seq, Pad: []byte("split-frame-padding")}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// waitDelivered waits until h has delivered want messages in order.
+func waitDelivered(t *testing.T, h *fifoHandler, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, violation := h.status()
+		if violation != nil {
+			t.Fatalf("%s: FIFO violation: %v", what, violation)
+		}
+		if got == want {
+			return
+		}
+		if got > want || time.Now().After(deadline) {
+			t.Fatalf("%s: delivered %d messages, want %d", what, got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPFramesAheadOfPartialFrameDelivered: the receive loop batches the
+// complete frames in its read buffer, and a partial frame behind them ends
+// the batch. The complete frames must reach the handler before the rest
+// of the partial frame is even sent — a batch waiting for those bytes
+// would stall the protocol on a sender that has nothing more to say.
+func TestTCPFramesAheadOfPartialFrameDelivered(t *testing.T) {
+	sink := &fifoHandler{}
+	conn := rawPeerNode(t, sink)
+	third := benchFrame(t, 2)
+	var b []byte
+	b = append(b, benchFrame(t, 0)...)
+	b = append(b, benchFrame(t, 1)...)
+	b = append(b, third[:wire.HeaderLen+2]...)
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	waitDelivered(t, sink, 2, "frames ahead of the partial one")
+	time.Sleep(20 * time.Millisecond)
+	if got, _ := sink.status(); got != 2 {
+		t.Fatalf("delivered %d messages from two and a half frames", got)
+	}
+	if _, err := conn.Write(third[wire.HeaderLen+2:]); err != nil {
+		t.Fatal(err)
+	}
+	waitDelivered(t, sink, 3, "the completed frame")
+}
+
+// TestTCPFrameWrittenInTwoHalves: a frame split across two writes, cut
+// inside its header or inside its payload, is delivered exactly once, and
+// only when its last byte has arrived.
+func TestTCPFrameWrittenInTwoHalves(t *testing.T) {
+	frame := benchFrame(t, 0)
+	for _, cut := range []int{2, wire.HeaderLen, wire.HeaderLen + 3, len(frame) - 1} {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			sink := &fifoHandler{}
+			conn := rawPeerNode(t, sink)
+			if _, err := conn.Write(frame[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if got, _ := sink.status(); got != 0 {
+				t.Fatalf("delivered %d messages before the frame was complete", got)
+			}
+			if _, err := conn.Write(frame[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			waitDelivered(t, sink, 1, "the completed frame")
+			// A second, whole frame right behind it proves the stream
+			// stayed in sync across the split.
+			if _, err := conn.Write(benchFrame(t, 1)); err != nil {
+				t.Fatal(err)
+			}
+			waitDelivered(t, sink, 2, "the frame after the split one")
+		})
 	}
 }

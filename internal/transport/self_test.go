@@ -182,8 +182,9 @@ func TestTCPSelfCrash(t *testing.T) {
 	for i := 0; i < after; i++ {
 		rtm.Send(0, benchMsg{Seq: before + i})
 	}
-	// The dispatcher observes each self-message just before handing its
-	// batch to the (crashed) node; give the last batch time to land.
+	// The self-delivery loop observes each self-message just before
+	// handing its batch to the (crashed) node; give the last batch time
+	// to land.
 	waitFor(t, "post-crash dispatch", func() bool {
 		_, d := log.self(0)
 		return len(d) == before+after

@@ -94,9 +94,10 @@ type TCPConfig struct {
 
 // TCPNode is a node of a TCP-connected deployment. TCP's in-order
 // delivery provides the FIFO channel property; reliability holds as long
-// as connections stay up. A node's messages to itself never touch a
-// socket: they enter an in-process FIFO queue drained by the same kind of
-// per-source dispatcher as remote traffic (under Legacy the node still
+// as connections stay up. Inbound frames are decoded and handed to the
+// handler by the connection's own receive goroutine, in batches. A node's
+// messages to itself never touch a socket: they enter an in-process FIFO
+// queue drained by a self-delivery goroutine (under Legacy the node still
 // dials its own listener, as the seed did). When a peer's connection
 // dies, the send loop redials with backoff and resumes on the fresh
 // connection: frames the send loop had batched but not yet written to a
@@ -115,7 +116,7 @@ type TCPNode struct {
 	start    time.Time
 
 	// outs[peer] is peer's outbound queue. On the tuned path outs[ID] is
-	// the self-delivery queue, which disp[ID] drains straight into the
+	// the self-delivery queue, which selfLoop drains straight into the
 	// handler; every other queue feeds a sendLoop.
 	outs []chan rt.Message
 
@@ -125,12 +126,6 @@ type TCPNode struct {
 	// before each frame and redials first, instead of losing the frame to
 	// a dead socket.
 	stale []atomic.Bool
-
-	// disp[src] is the per-source FIFO dispatcher decoupling socket
-	// reads from handler execution (nil until the first inbound frame
-	// from src; see dispatchLoop). Guarded by dispMu.
-	dispMu sync.Mutex
-	disp   []*dispatcher
 
 	connsMu sync.Mutex
 	conns   []net.Conn
@@ -170,7 +165,6 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		start:  start,
 		outs:   make([]chan rt.Message, n),
 		stale:  make([]atomic.Bool, n),
-		disp:   make([]*dispatcher, n),
 		conns:  make([]net.Conn, n),
 		closed: make(chan struct{}),
 	}
@@ -187,13 +181,11 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	if !cfg.Legacy {
 		// Self-delivery: queued like any outbound frame, handed to the
 		// handler like any inbound one, with no encode, socket or decode
-		// in between. Started before the accept loop so disp[ID] is never
-		// written while a receiver may read disp.
-		d := &dispatcher{ch: make(chan rt.Message, outQueue)}
-		t.disp[cfg.ID] = d
-		t.outs[cfg.ID] = d.ch
+		// in between.
+		self := make(chan rt.Message, outQueue)
+		t.outs[cfg.ID] = self
 		t.wg.Add(1)
-		go t.dispatchLoop(cfg.ID, d)
+		go t.selfLoop(self)
 	}
 
 	// Accept inbound connections: each peer dials us once and sends a
@@ -305,10 +297,13 @@ const recvBufSize = 64 << 10
 // unknown tag, malformed body — closes only this connection and surfaces
 // a descriptive error through the error hook.
 //
-// On the optimized path the loop only frames and decodes: decoded
-// messages are handed to the source's FIFO dispatcher, so the next frame
-// is read off the socket while the handler still runs (pipelining). The
-// Legacy path runs the handler inline, one frame at a time.
+// On the optimized path the loop delivers inline, in batches: it blocks
+// for one frame, decodes every further frame already complete in its read
+// buffer (up to dispBatch), and runs the handler over the batch in one
+// critical section. A partial frame ends the batch, so decoded frames are
+// never held back waiting for bytes still in flight. While the handler
+// runs the socket is not read: backpressure reaches the sender through
+// TCP flow control. The Legacy path delivers one frame at a time.
 func (t *TCPNode) recvLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -344,11 +339,11 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		return
 	}
 	src := h.ID
-	var disp *dispatcher
-	if !t.cfg.Legacy {
-		disp = t.dispatcherFor(src)
-	}
 
+	var batch []rt.Message
+	if !t.cfg.Legacy {
+		batch = make([]rt.Message, 0, dispBatch)
+	}
 	for {
 		payload, err := wire.ReadFrame(r, buf, t.cfg.MaxFrame)
 		if err != nil {
@@ -361,88 +356,84 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 			return
 		}
 		buf = payload
-		msg, err := wire.Unmarshal(payload)
+		msg, err := t.decode(src, payload)
 		if err != nil {
-			t.observeMsg(rt.MsgCorrupt, src, t.cfg.ID, "", len(payload))
 			t.recvError(src, conn, err, true)
 			return
 		}
-		// Decoders copy all byte fields, so reusing buf for the next
-		// frame cannot mutate a delivered message.
-		t.observeMsg(rt.MsgDeliver, src, t.cfg.ID, msg.Kind(), len(payload))
-		if disp == nil {
+		if t.cfg.Legacy {
 			t.deliver(src, msg)
 			continue
 		}
-		select {
-		case disp.ch <- msg:
-		case <-t.closed:
-			return
+		batch = append(batch[:0], msg)
+		for len(batch) < dispBatch {
+			buffered, _ := r.Peek(r.Buffered())
+			payload, ok := wire.CompleteFrame(buffered, t.cfg.MaxFrame)
+			if !ok {
+				break // nothing buffered, a partial frame, or a bad header
+			}
+			// Decoders copy all byte fields, so the payload may alias the
+			// read buffer.
+			msg, err := t.decode(src, payload)
+			if err != nil {
+				t.deliverBatch(src, batch)
+				t.recvError(src, conn, err, true)
+				return
+			}
+			r.Discard(wire.HeaderLen + len(payload))
+			batch = append(batch, msg)
 		}
+		// One critical section runs the whole batch, so the batches of an
+		// old and a redialed connection from src never interleave.
+		t.deliverBatch(src, batch)
 	}
 }
 
-// dispQueue bounds each source's dispatch queue. A full queue blocks the
-// source's recvLoop, which stops reading its socket: backpressure reaches
-// the sender through TCP flow control, never by dropping or reordering.
-const dispQueue = 4096
+// decode unmarshals one inbound frame from src and observes it.
+func (t *TCPNode) decode(src int, payload []byte) (rt.Message, error) {
+	msg, err := wire.Unmarshal(payload)
+	if err != nil {
+		t.observeMsg(rt.MsgCorrupt, src, t.cfg.ID, "", len(payload))
+		return nil, err
+	}
+	t.observeMsg(rt.MsgDeliver, src, t.cfg.ID, msg.Kind(), len(payload))
+	return msg, nil
+}
 
-// dispBatch caps how many queued messages one dispatch cycle hands to
-// the handler inside a single critical section.
+// dispBatch caps how many messages one delivery hands to the handler
+// inside a single critical section.
 const dispBatch = 256
 
-// dispatcher is one source's inbound FIFO: every connection claiming the
-// same source ID feeds the same queue, so per-peer delivery order is
-// preserved even across a peer's reconnect. The node's own dispatcher
-// (disp[ID], tuned path) is fed by Send directly.
-type dispatcher struct {
-	ch chan rt.Message
-}
-
-// dispatcherFor returns src's dispatcher, starting its worker on first
-// use.
-func (t *TCPNode) dispatcherFor(src int) *dispatcher {
-	t.dispMu.Lock()
-	defer t.dispMu.Unlock()
-	if t.disp[src] == nil {
-		d := &dispatcher{ch: make(chan rt.Message, dispQueue)}
-		t.disp[src] = d
-		t.wg.Add(1)
-		go t.dispatchLoop(src, d)
-	}
-	return t.disp[src]
-}
-
-// dispatchLoop is the per-source delivery worker: it drains whatever has
-// accumulated on the queue (up to dispBatch) and runs the handler over
-// the whole batch in one critical section with a single waiter wakeup,
-// amortizing the node mutex and the condition broadcast over the batch
-// instead of paying both per message. Remote deliveries are observed by
-// recvLoop as they are decoded; self-deliveries here, in send order.
-func (t *TCPNode) dispatchLoop(src int, d *dispatcher) {
+// selfLoop is the self-delivery worker: it drains whatever has
+// accumulated on the node's own queue (up to dispBatch) and runs the
+// handler over the whole batch in one critical section with a single
+// waiter wakeup, the same delivery remote batches get. With an Observer
+// it emits the self-deliveries here, in send order.
+func (t *TCPNode) selfLoop(queue <-chan rt.Message) {
 	defer t.wg.Done()
+	id := t.cfg.ID
 	batch := make([]rt.Message, 0, dispBatch)
 	for {
 		select {
 		case <-t.closed:
 			return
-		case msg := <-d.ch:
+		case msg := <-queue:
 			batch = append(batch[:0], msg)
 		drain:
 			for len(batch) < dispBatch {
 				select {
-				case m := <-d.ch:
+				case m := <-queue:
 					batch = append(batch, m)
 				default:
 					break drain
 				}
 			}
-			if src == t.cfg.ID && t.cfg.Observer != nil {
+			if t.cfg.Observer != nil {
 				for _, m := range batch {
-					t.observeMsg(rt.MsgDeliver, src, src, m.Kind(), wire.EncodedSize(m))
+					t.observeMsg(rt.MsgDeliver, id, id, m.Kind(), wire.EncodedSize(m))
 				}
 			}
-			t.deliverBatch(src, batch)
+			t.deliverBatch(id, batch)
 		}
 	}
 }

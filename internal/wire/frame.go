@@ -75,23 +75,39 @@ func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
 }
 
 // ParseFrame parses one frame from the front of b, returning its payload
-// (aliasing b) and the bytes after the frame.
+// (aliasing b) and the bytes after the frame. The framing rules live in
+// CompleteFrame; this only names the rule a rejected frame broke.
 func ParseFrame(b []byte, max int) (payload, rest []byte, err error) {
-	max = maxOrDefault(max)
-	if len(b) < HeaderLen {
-		return nil, nil, fmt.Errorf("%w: %d header bytes of %d", ErrShortFrame, len(b), HeaderLen)
+	if p, ok := CompleteFrame(b, max); ok {
+		return p, b[HeaderLen+len(p):], nil
 	}
-	if b[0] != Version {
+	switch {
+	case len(b) < HeaderLen:
+		return nil, nil, fmt.Errorf("%w: %d header bytes of %d", ErrShortFrame, len(b), HeaderLen)
+	case b[0] != Version:
 		return nil, nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, b[0], Version)
 	}
-	n := binary.BigEndian.Uint32(b[1:])
+	n, max := binary.BigEndian.Uint32(b[1:]), maxOrDefault(max)
 	if n > uint32(max) {
 		return nil, nil, fmt.Errorf("%w: %d > %d bytes (decode)", ErrFrameTooLarge, n, max)
 	}
-	if uint64(len(b)-HeaderLen) < uint64(n) {
-		return nil, nil, fmt.Errorf("%w: %d payload bytes of %d", ErrShortFrame, len(b)-HeaderLen, n)
+	return nil, nil, fmt.Errorf("%w: %d payload bytes of %d", ErrShortFrame, len(b)-HeaderLen, n)
+}
+
+// CompleteFrame returns the payload of the frame at the front of b when b
+// holds all of it (aliasing b). It reports false, without allocating, when
+// the frame is still partial or its header is malformed: a reader then
+// falls back to ReadFrame, which waits for the missing bytes or names the
+// error.
+func CompleteFrame(b []byte, max int) (payload []byte, ok bool) {
+	if len(b) < HeaderLen || b[0] != Version {
+		return nil, false
 	}
-	return b[HeaderLen : HeaderLen+int(n)], b[HeaderLen+int(n):], nil
+	n := binary.BigEndian.Uint32(b[1:])
+	if n > uint32(maxOrDefault(max)) || uint64(len(b)-HeaderLen) < uint64(n) {
+		return nil, false
+	}
+	return b[HeaderLen : HeaderLen+int(n)], true
 }
 
 // MarshalFrame encodes msg as one complete frame (the unit the chaos
